@@ -18,7 +18,6 @@ from .errors import (
 from .family import (
     FsgBlocks,
     FsgParams,
-    PhotonBudget,
     blocks_from_params,
     free_parameter_range,
     optimal_precision_blocks,
@@ -35,20 +34,17 @@ from .homodyne import (
     homodyne_cov,
     homodyne_cov_derivatives,
     homodyne_fim,
-    homodyne_precision_ratio,
     mc_estimate,
     optimize_homodyne_angle,
 )
 from .metrology import (
     FimInverse,
-    PrecisionReport,
     StructuredFim,
     WeightVector,
     closed_form_privacy_of_optimum,
     fim_inverse,
     mean_weights,
     precision,
-    precision_report,
     privacy,
     qfim_fsg,
     qfim_fsg_numeric,

@@ -205,8 +205,7 @@ def main():
     default="precision",
     show_default=True,
 )
-@click.option("--json", "json_out", is_flag=True, help="Machine output on stdout.")
-def state(modes, nth, n_tot, objective, json_out):
+def state(modes, nth, n_tot, objective):
     """Optimize a single configuration and report it as JSON."""
     if modes < 2 or nth < 0.0 or n_tot < 0.0:
         raise click.UsageError("need --M >= 2, --nth >= 0 and --N >= 0")
@@ -329,8 +328,7 @@ def figures(outdir, which):
 @click.option("--samples", type=int, required=True, help="Homodyne shots per trial.")
 @click.option("--trials", type=int, required=True, help="Independent estimates.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--json", "json_out", is_flag=True, help="Machine output on stdout.")
-def mc(modes, nth, n_tot, samples, trials, seed, json_out):
+def mc(modes, nth, n_tot, samples, trials, seed):
     """Monte-Carlo Cramér-Rao check on the privacy-optimized state."""
     if samples < 2 or trials < 2:
         raise click.UsageError("--samples and --trials must both be >= 2")

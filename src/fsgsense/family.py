@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
+from .symplectic import fsg_symplectic_eigenvalues
 
 #: Eigenvalue slack allowed below the vacuum limit nu = 1.
 _TOL_NU = 1e-9
@@ -71,17 +72,6 @@ class FsgBlocks:
 
 
 @dataclass(frozen=True)
-class PhotonBudget:
-    """Total mean photon number above vacuum shared by the network."""
-
-    N_tot: float
-
-    def __post_init__(self):
-        if self.N_tot < 0.0:
-            raise DomainError(f"N_tot must be >= 0, got {self.N_tot}")
-
-
-@dataclass(frozen=True)
 class SolveSResult:
     s: float
     feasible: bool
@@ -114,10 +104,7 @@ def params_from_blocks(blocks: FsgBlocks) -> FsgParams:
     Raises DomainError if the blocks are not isothermal.
     """
     m = blocks.M
-    nu_minus = np.sqrt((blocks.eps1 - blocks.gam1) * (blocks.eps2 - blocks.gam2))
-    nu_plus = np.sqrt(
-        (blocks.eps1 + (m - 1) * blocks.gam1) * (blocks.eps2 + (m - 1) * blocks.gam2)
-    )
+    nu_minus, nu_plus = fsg_symplectic_eigenvalues(blocks)
     if abs(nu_plus - nu_minus) > 1e-8 * max(1.0, nu_plus):
         raise DomainError(f"blocks not isothermal: nu-={nu_minus}, nu+={nu_plus}")
     nu = max(0.5 * (nu_minus + nu_plus), 1.0)  # clamp rounding below vacuum

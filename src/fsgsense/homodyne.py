@@ -17,7 +17,7 @@ from scipy import stats
 from . import kernels
 from .errors import ConvergenceError, DegenerateError, DomainError, NumericalError
 from .family import FsgBlocks
-from .metrology import StructuredFim, WeightVector, mean_weights, precision
+from .metrology import StructuredFim, WeightVector, mean_weights, precision, xi_from_ab
 
 ANGLE_GRID_POINTS = 1001
 MLE_BRACKET = 0.3
@@ -147,16 +147,6 @@ def _angle_grid(blocks: FsgBlocks, thetas: np.ndarray):
     )
 
 
-def _xi_from_ab(a, b, weights: WeightVector):
-    """Vectorized precision 1 / Tr(W F^+) from structured coefficients."""
-    m = weights.M
-    if weights.is_mean:
-        return m * (a + m * b)
-    n2 = weights.norm2_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(a > 0.0, 1.0 / (n2 / a - b / (a * (a + m * b))), 0.0)
-
-
 def optimize_homodyne_angle(
     blocks: FsgBlocks, weights: WeightVector | None = None
 ) -> HomodyneOpt:
@@ -192,7 +182,7 @@ def optimize_homodyne_angle(
     fim = homodyne_fim(blocks, theta_star)
     xi_hd = precision(fim, weights)
 
-    xi_arr = _xi_from_ab(a_arr, b_arr, weights)
+    xi_arr = xi_from_ab(a_arr, b_arr, weights)
     j = int(np.argmax(xi_arr))
     theta_direct = float(thetas[j])
     xi_direct = float(xi_arr[j])
@@ -207,19 +197,6 @@ def optimize_homodyne_angle(
         xi_direct=xi_direct,
         proxy_consistent=bool(consistent),
     )
-
-
-def homodyne_precision_ratio(M: int, n_th: float, N_tot: float) -> float:
-    """Precision retained by homodyne detection on the privacy-optimal state.
-
-    Ratio of the homodyne precision at the optimized angle to the
-    collective-measurement precision of the same privacy-optimized state.
-    """
-    from .optimize import maximize_privacy
-
-    result = maximize_privacy(M, n_th, N_tot)
-    hd = optimize_homodyne_angle(result.blocks)
-    return hd.xi_hd / result.xi
 
 
 def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:

@@ -1,33 +1,11 @@
-"""Hot numeric kernels.
-
-The grid scans behind the optimizers dominate runtime, so they are compiled
-with numba when it is available.  Setting the environment variable
-``FSGSENSE_NO_NUMBA=1`` (before import) selects the pure-numpy/python
-fallback path; both paths run the exact same source, so results are
-bitwise identical.  The un-decorated originals are kept with a leading
-underscore for the benchmark in ``benchmarks/bench_kernels.py``.
-"""
+"""Hot numeric kernels, written as numpy array expressions over 1-D grids."""
 
 import math
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("FSGSENSE_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in ("1", "true", "yes")
 
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-def _family_scan(ts, modes, nu, n_tot):
+def family_scan(ts, modes, nu, n_tot):
     """Isothermal-family scan over the free squeezing parameter t.
 
     For each t, solves the photon constraint
@@ -36,167 +14,122 @@ def _family_scan(ts, modes, nu, n_tot):
 
     Returns arrays (s, eps1, eps2, gam1, gam2).
     """
-    n = ts.shape[0]
-    s_arr = np.empty(n)
-    e1 = np.empty(n)
-    e2 = np.empty(n)
-    g1 = np.empty(n)
-    g2 = np.empty(n)
     m = float(modes)
     rhs = (2.0 * n_tot + m) / nu
-    for i in range(n):
-        t = ts[i]
-        h = rhs - (m - 1.0) * math.cosh(2.0 * t)
-        if h < 1.0:
-            h = 1.0  # endpoint rounding; inside [-t_max, t_max] h >= 1
-        s = 0.5 * math.acosh(h)
-        a = math.exp(2.0 * s)
-        b = math.exp(2.0 * t)
-        s_arr[i] = s
-        e1[i] = nu * (a + (m - 1.0) * b) / m
-        g1[i] = nu * (a - b) / m
-        e2[i] = nu * (1.0 / a + (m - 1.0) / b) / m
-        g2[i] = nu * (1.0 / a - 1.0 / b) / m
-    return s_arr, e1, e2, g1, g2
+    # endpoint rounding; inside [-t_max, t_max] h >= 1
+    h = np.maximum(rhs - (m - 1.0) * np.cosh(2.0 * ts), 1.0)
+    s = 0.5 * np.arccosh(h)
+    a = np.exp(2.0 * s)
+    b = np.exp(2.0 * ts)
+    e1 = nu * (a + (m - 1.0) * b) / m
+    g1 = nu * (a - b) / m
+    e2 = nu * (1.0 / a + (m - 1.0) / b) / m
+    g2 = nu * (1.0 / a - 1.0 / b) / m
+    return s, e1, e2, g1, g2
 
 
-def _homodyne_scan(eps1, eps2, gam1, gam2, modes, thetas):
-    """Structured homodyne Fisher matrix over a grid of common angles.
+def _angle_cov(eps1, eps2, gam1, gam2, m, phi):
+    """Equal-angle homodyne covariance G = g I + c J and its inverse.
 
-    The outcome covariance for equal local-oscillator angles is
-    G = (E - C) I + C J with E = eps1 c^2 + eps2 s^2 and
-    C = gam1 c^2 + gam2 s^2, and its parameter derivatives at zero prior
-    have diagonal entry D = (eps2 - eps1) sin(2 theta) and off-diagonal
-    entry O = (gam2 - gam1) sin(2 theta) / 2.  The Fisher matrix
-    F_jk = Tr[G^-1 (d_j G) G^-1 (d_k G)] / 2 then reduces to scalar
-    algebra in (D, O) and the structured inverse of G.
+    At common angle phi the diagonal is E = eps1 c^2 + eps2 s^2 and the
+    off-diagonal C = gam1 c^2 + gam2 s^2, so g = E - C.  G has eigenvalues
+    g (M-1 times) and g + M c, and G^-1 = alpha I + beta J with
+    alpha = 1/g and beta = -c / [g (g + M c)].
 
-    Returns arrays (a, b) with F = a I + b J.
+    Returns (g, g + M c, alpha, beta).
     """
-    n = thetas.shape[0]
-    a_arr = np.empty(n)
-    b_arr = np.empty(n)
-    m = float(modes)
-    for i in range(n):
-        th = thetas[i]
-        c2 = math.cos(th) ** 2
-        s2 = 1.0 - c2
-        e = eps1 * c2 + eps2 * s2
-        c = gam1 * c2 + gam2 * s2
-        g = e - c
-        gp = g + m * c
-        alpha = 1.0 / g
-        beta = -c / (g * gp)
-        q = alpha + m * beta
-        ab = alpha + beta
-        s2t = math.sin(2.0 * th)
-        dd = (eps2 - eps1) * s2t
-        oo = 0.5 * (gam2 - gam1) * s2t
-        d = dd - 2.0 * oo
-        f11 = 0.5 * (
-            2.0 * oo * q * (oo * q + oo * m * ab + d * ab)
-            + d * (2.0 * oo * q * ab + d * ab * ab)
-        )
-        f12 = 0.5 * (
-            2.0 * oo * q * (oo * (q + m * beta) + d * beta)
-            + d * (2.0 * oo * q * beta + d * beta * beta)
-        )
-        a_arr[i] = f11 - f12
-        b_arr[i] = f12
-    return a_arr, b_arr
-
-
-def _mle_trials(tr_s, sum_s, modes, n_samples, eps1, eps2, gam1, gam2,
-                theta_hd, lo, hi, grid_points, tol):
-    """Per-trial 1-D maximum-likelihood estimates of the common phase.
-
-    The log-likelihood per shot (up to a constant) is
-    -[ln det G(theta) + tr(G(theta)^-1 S)] / 2
-    with S summarized per trial by (tr S, 1^T S 1), since
-    G(theta) = g I + c J for the symmetric direction.  Coarse grid on
-    [lo, hi] followed by golden-section refinement.
-
-    Returns (theta_hat, hit_boundary) arrays.
-    """
-    gr = 0.5 * (math.sqrt(5.0) - 1.0)
-    trials = tr_s.shape[0]
-    m = float(modes)
-    out = np.empty(trials)
-    boundary = np.zeros(trials, dtype=np.bool_)
-    for k in range(trials):
-        ts = tr_s[k]
-        ss = sum_s[k]
-
-        best = -np.inf
-        best_th = lo
-        for i in range(grid_points):
-            th = lo + (hi - lo) * i / (grid_points - 1.0)
-            phi = theta_hd + th
-            c2 = math.cos(phi) ** 2
-            s2 = 1.0 - c2
-            e = eps1 * c2 + eps2 * s2
-            c = gam1 * c2 + gam2 * s2
-            g = e - c
-            gp = g + m * c
-            alpha = 1.0 / g
-            beta = -c / (g * gp)
-            ll = -0.5 * ((m - 1.0) * math.log(g) + math.log(gp)
-                         + alpha * ts + beta * ss)
-            if ll > best:
-                best = ll
-                best_th = th
-
-        step = (hi - lo) / (grid_points - 1.0)
-        a = best_th - step
-        b = best_th + step
-        if a < lo:
-            a = lo
-        if b > hi:
-            b = hi
-        x1 = b - gr * (b - a)
-        x2 = a + gr * (b - a)
-        f1 = _neg_ll(x1, theta_hd, m, eps1, eps2, gam1, gam2, ts, ss)
-        f2 = _neg_ll(x2, theta_hd, m, eps1, eps2, gam1, gam2, ts, ss)
-        while b - a > tol:
-            if f1 < f2:
-                b = x2
-                x2 = x1
-                f2 = f1
-                x1 = b - gr * (b - a)
-                f1 = _neg_ll(x1, theta_hd, m, eps1, eps2, gam1, gam2, ts, ss)
-            else:
-                a = x1
-                x1 = x2
-                f1 = f2
-                x2 = a + gr * (b - a)
-                f2 = _neg_ll(x2, theta_hd, m, eps1, eps2, gam1, gam2, ts, ss)
-        th_hat = 0.5 * (a + b)
-        out[k] = th_hat
-        if th_hat - lo < 1e-6 or hi - th_hat < 1e-6:
-            boundary[k] = True
-    return out, boundary
-
-
-def _neg_ll(th, theta_hd, m, eps1, eps2, gam1, gam2, ts, ss):
-    phi = theta_hd + th
-    c2 = math.cos(phi) ** 2
+    c2 = np.cos(phi) ** 2
     s2 = 1.0 - c2
     e = eps1 * c2 + eps2 * s2
     c = gam1 * c2 + gam2 * s2
     g = e - c
     gp = g + m * c
-    alpha = 1.0 / g
-    beta = -c / (g * gp)
-    return 0.5 * ((m - 1.0) * math.log(g) + math.log(gp)
-                  + alpha * ts + beta * ss)
+    return g, gp, 1.0 / g, -c / (g * gp)
 
 
-if NUMBA_ENABLED:
-    _neg_ll = _njit(cache=True)(_neg_ll)
-    family_scan = _njit(cache=True)(_family_scan)
-    homodyne_scan = _njit(cache=True)(_homodyne_scan)
-    mle_trials = _njit(cache=True)(_mle_trials)
-else:
-    family_scan = _family_scan
-    homodyne_scan = _homodyne_scan
-    mle_trials = _mle_trials
+def homodyne_scan(eps1, eps2, gam1, gam2, modes, thetas):
+    """Structured homodyne Fisher matrix over a grid of common angles.
+
+    The parameter derivatives of G at zero prior have diagonal entry
+    D = (eps2 - eps1) sin(2 theta) and off-diagonal entry
+    O = (gam2 - gam1) sin(2 theta) / 2.  The Fisher matrix
+    F_jk = Tr[G^-1 (d_j G) G^-1 (d_k G)] / 2 then reduces to scalar
+    algebra in (D, O) and the structured inverse of G.
+
+    Returns arrays (a, b) with F = a I + b J.
+    """
+    m = float(modes)
+    _, _, alpha, beta = _angle_cov(eps1, eps2, gam1, gam2, m, thetas)
+    q = alpha + m * beta
+    ab = alpha + beta
+    s2t = np.sin(2.0 * thetas)
+    dd = (eps2 - eps1) * s2t
+    oo = 0.5 * (gam2 - gam1) * s2t
+    d = dd - 2.0 * oo
+    f11 = 0.5 * (
+        2.0 * oo * q * (oo * q + oo * m * ab + d * ab)
+        + d * (2.0 * oo * q * ab + d * ab * ab)
+    )
+    f12 = 0.5 * (
+        2.0 * oo * q * (oo * (q + m * beta) + d * beta)
+        + d * (2.0 * oo * q * beta + d * beta * beta)
+    )
+    return f11 - f12, f12
+
+
+def mle_trials(tr_s, sum_s, modes, n_samples, eps1, eps2, gam1, gam2,
+               theta_hd, lo, hi, grid_points, tol):
+    """Per-trial 1-D maximum-likelihood estimates of the common phase.
+
+    The negative log-likelihood per shot (up to a constant) is
+    [ln det G(theta) + tr(G(theta)^-1 S)] / 2
+    with S summarized per trial by (tr S, 1^T S 1), since
+    G(theta) = g I + c J for the symmetric direction.  A coarse
+    (trials x grid) scan on [lo, hi] picks each trial's bracket, then
+    golden-section refinement runs on all trials in lockstep until every
+    bracket is narrower than tol.
+
+    Returns (theta_hat, hit_boundary) arrays.
+    """
+    m = float(modes)
+    # one row per trial; angles broadcast along the columns
+    tr_s = tr_s[:, None]
+    sum_s = sum_s[:, None]
+
+    def neg_ll(th):
+        g, gp, alpha, beta = _angle_cov(eps1, eps2, gam1, gam2, m, theta_hd + th)
+        return 0.5 * ((m - 1.0) * np.log(g) + np.log(gp)
+                      + alpha * tr_s + beta * sum_s)
+
+    grid = lo + (hi - lo) * np.arange(grid_points) / (grid_points - 1.0)
+    best_th = grid[np.argmin(neg_ll(grid), axis=1)][:, None]
+
+    gr = 0.5 * (math.sqrt(5.0) - 1.0)
+    step = (hi - lo) / (grid_points - 1.0)
+    a = np.maximum(best_th - step, lo)
+    b = np.minimum(best_th + step, hi)
+    x1 = b - gr * (b - a)
+    x2 = a + gr * (b - a)
+    f1 = neg_ll(x1)
+    f2 = neg_ll(x2)
+    active = b - a > tol
+    while active.any():
+        left = f1 < f2  # the minimum lies in [a, x2]
+        na, nb = np.where(left, a, x1), np.where(left, x2, b)
+        keep_x, keep_f = np.where(left, x1, x2), np.where(left, f1, f2)
+        new_x = np.where(left, nb - gr * (nb - na), na + gr * (nb - na))
+        new_f = neg_ll(new_x)
+        stepped = (
+            na, nb,
+            np.where(left, new_x, keep_x), np.where(left, keep_x, new_x),
+            np.where(left, new_f, keep_f), np.where(left, keep_f, new_f),
+        )
+        # converged trials keep their bracket
+        a, b, x1, x2, f1, f2 = (
+            np.where(active, new, old)
+            for new, old in zip(stepped, (a, b, x1, x2, f1, f2))
+        )
+        active = b - a > tol
+    theta_hat = 0.5 * (a + b)[:, 0]
+    boundary = (theta_hat - lo < 1e-6) | (hi - theta_hat < 1e-6)
+    return theta_hat, boundary

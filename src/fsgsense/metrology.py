@@ -21,7 +21,7 @@ from .errors import (
     UndefinedError,
 )
 from .family import FsgBlocks
-from .symplectic import CovarianceState, symplectic_form
+from .symplectic import CovarianceState, fsg_symplectic_eigenvalues, symplectic_form
 
 #: Relative tolerance governing the regular/pseudo inverse switch.
 TOL_RANK = 1e-10
@@ -104,20 +104,6 @@ class FimInverse:
         return self.alpha * np.eye(self.M) + self.beta * np.ones((self.M, self.M))
 
 
-@dataclass(frozen=True)
-class PrecisionReport:
-    """Estimation precision with the privacy of the same configuration.
-
-    privacy is None when undefined (zero Fisher matrix); mu is the
-    proportionality scalar of F = mu W, reported when F is numerically
-    rank one and the weights are uniform.
-    """
-
-    xi: float
-    privacy: float | None
-    mu: float | None
-
-
 def qfim_fsg(blocks: FsgBlocks) -> StructuredFim:
     """Structured QFIM of an isothermal FSG state under local phase shifts.
 
@@ -129,23 +115,53 @@ def qfim_fsg(blocks: FsgBlocks) -> StructuredFim:
     DomainError when the two symplectic eigenvalues differ.
     """
     m = blocks.M
-    nu_minus = np.sqrt((blocks.eps1 - blocks.gam1) * (blocks.eps2 - blocks.gam2))
-    nu_plus = np.sqrt(
-        (blocks.eps1 + (m - 1) * blocks.gam1) * (blocks.eps2 + (m - 1) * blocks.gam2)
-    )
+    nu_minus, nu_plus = fsg_symplectic_eigenvalues(blocks)
     if abs(nu_plus - nu_minus) > 1e-8 * max(1.0, abs(nu_plus)):
         raise DomainError(
             f"QFIM closed form needs an isothermal state; nu-={nu_minus}, nu+={nu_plus}"
         )
     nu = 0.5 * (nu_minus + nu_plus)
-    scale = 2.0 / (1.0 + nu * nu)
-    f11 = (0.5 * (blocks.eps1**2 + blocks.eps2**2) - nu * nu) * scale
-    f12 = 0.5 * (blocks.gam1**2 + blocks.gam2**2) * scale
-    a = f11 - f12
+    a, b = fisher_coeffs(blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, nu)
     # guard against rounding at the perfect-privacy point
-    if -1e-12 * max(1.0, abs(f11)) < a < 0.0:
+    if -1e-12 * max(1.0, abs(a + b)) < a < 0.0:
         a = 0.0
-    return StructuredFim(M=m, a=a, b=f12)
+    return StructuredFim(M=m, a=a, b=b)
+
+
+def fisher_coeffs(eps1, eps2, gam1, gam2, nu):
+    """Structured QFIM coefficients (a, b) of isothermal blocks; array-aware.
+
+    F11 = [ (eps1^2 + eps2^2)/2 - nu^2 ] * 2 / (1 + nu^2),
+    F12 = (gam1^2 + gam2^2) / (1 + nu^2), a = F11 - F12 and b = F12.
+    """
+    scale = 2.0 / (1.0 + nu * nu)
+    f11 = (0.5 * (eps1**2 + eps2**2) - nu * nu) * scale
+    f12 = 0.5 * (gam1**2 + gam2**2) * scale
+    return f11 - f12, f12
+
+
+def xi_from_ab(a, b, weights: WeightVector):
+    """Precision 1 / Tr(W F^-1) of F = a I + b J; array-aware.
+
+    Uniform weights use xi = M (a + M b); otherwise points with a <= 0
+    give 0.
+    """
+    m = weights.M
+    if weights.is_mean:
+        return m * (a + m * b)
+    n2 = weights.norm2_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a > 0.0, 1.0 / (n2 / a - b / (a * (a + m * b))), 0.0)
+
+
+def privacy_from_ab(a, b, weights: WeightVector):
+    """Privacy (||w||_2^2 a + b) / (M ||w||_2^2 (a + b)) of F = a I + b J.
+
+    Array-aware; NaN where the trace M (a + b) is not positive.
+    """
+    m, n2 = weights.M, weights.norm2_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a + b > 0.0, (n2 * a + b) / (m * n2 * (a + b)), np.nan)
 
 
 def fim_inverse(fim: StructuredFim) -> FimInverse:
@@ -183,7 +199,7 @@ def precision(fim: StructuredFim, weights: WeightVector) -> float:
     if weights.is_mean:
         if a + m * b <= 0.0:
             raise SingularError(f"Fisher matrix numerically zero: a={a}, b={b}")
-        return float(m * (a + m * b))
+        return float(xi_from_ab(a, b, weights))
     inv = fim_inverse(fim)
     if inv.kind == "pseudo":
         # range(F) = span(1); anything off the uniform direction is invisible
@@ -205,33 +221,20 @@ def privacy(fim: StructuredFim | np.ndarray, weights: WeightVector) -> float:
     evaluated directly (an extension used for reporting the homodyne FIM).
     Raises UndefinedError on a vanishing trace (vacuum: 0/0).
     """
-    n2 = weights.norm2_sq
     if isinstance(fim, StructuredFim):
         if fim.M != weights.M:
             raise DomainError("Fisher matrix and weight vector sizes differ")
         trace = fim.M * (fim.a + fim.b)
         if trace <= 1e-300:
             raise UndefinedError("privacy undefined: Fisher matrix has zero trace")
-        return float((n2 * fim.a + fim.b) / (fim.M * n2 * (fim.a + fim.b)))
+        return float(privacy_from_ab(fim.a, fim.b, weights))
     dense = np.asarray(fim, dtype=float)
     if dense.shape != (weights.M, weights.M):
         raise DomainError("Fisher matrix and weight vector sizes differ")
     trace = float(np.trace(dense))
     if trace <= 1e-300:
         raise UndefinedError("privacy undefined: Fisher matrix has zero trace")
-    return float((weights.w @ dense @ weights.w) / (n2 * trace))
-
-
-def precision_report(fim: StructuredFim, weights: WeightVector) -> PrecisionReport:
-    xi = precision(fim, weights)
-    try:
-        p = privacy(fim, weights)
-    except UndefinedError:
-        p = None
-    scale = max(abs(fim.a), abs(fim.b), 1.0)
-    rank_one = fim.a <= TOL_RANK * scale
-    mu = fim.b * fim.M**2 if (rank_one and weights.is_mean) else None
-    return PrecisionReport(xi=xi, privacy=p, mu=mu)
+    return float((weights.w @ dense @ weights.w) / (weights.norm2_sq * trace))
 
 
 def closed_form_privacy_of_optimum(M: int, N_tot: float) -> float:
@@ -317,14 +320,15 @@ __all__ = [
     "StructuredFim",
     "WeightVector",
     "FimInverse",
-    "PrecisionReport",
     "WeightSpectrum",
     "mean_weights",
     "qfim_fsg",
+    "fisher_coeffs",
+    "xi_from_ab",
+    "privacy_from_ab",
     "fim_inverse",
     "precision",
     "privacy",
-    "precision_report",
     "closed_form_privacy_of_optimum",
     "weight_matrix_spectrum",
     "phase_shift_generators",

@@ -23,6 +23,7 @@ from .family import (
     solve_s,
 )
 from .metrology import WeightVector, mean_weights, precision, qfim_fsg
+from .metrology import fisher_coeffs, privacy_from_ab, xi_from_ab
 
 GRID_POINTS = 2001
 BRACKET_TOL = 1e-10
@@ -44,7 +45,6 @@ class OptResult:
     xi: float
     privacy: float
     ratio_to_best_xi: float
-    converged: bool
     iterations: int
 
 
@@ -58,19 +58,8 @@ class ScanPoint:
 def _xi_privacy_arrays(M, n_th, N_tot, ts, weights):
     nu = 1.0 + 2.0 * n_th
     _, e1, e2, g1, g2 = kernels.family_scan(ts, M, nu, N_tot)
-    corr = 2.0 / (1.0 + nu * nu)
-    f11 = (0.5 * (e1**2 + e2**2) - nu * nu) * corr
-    f12 = 0.5 * (g1**2 + g2**2) * corr
-    a = f11 - f12
-    b = f12
-    n2 = weights.norm2_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if weights.is_mean:
-            xi = M * (a + M * b)
-        else:
-            xi = np.where(a > 0.0, 1.0 / (n2 / a - b / (a * (a + M * b))), 0.0)
-        p = np.where(f11 > 0.0, (n2 * a + b) / (M * n2 * (a + b)), np.nan)
-    return xi, p
+    a, b = fisher_coeffs(e1, e2, g1, g2, nu)
+    return xi_from_ab(a, b, weights), privacy_from_ab(a, b, weights)
 
 
 def _scalar_objectives(M, n_th, N_tot, weights) -> Callable[[float], tuple]:
@@ -79,12 +68,7 @@ def _scalar_objectives(M, n_th, N_tot, weights) -> Callable[[float], tuple]:
         blocks = blocks_from_params(FsgParams(M=M, n_th=n_th, s=sol.s, t=t))
         fim = qfim_fsg(blocks)
         xi = precision(fim, weights) if fim.a + M * fim.b > 0.0 else 0.0
-        if fim.a + fim.b > 0.0:
-            n2 = weights.norm2_sq
-            p = (n2 * fim.a + fim.b) / (M * n2 * (fim.a + fim.b))
-        else:
-            p = math.nan
-        return xi, p
+        return xi, float(privacy_from_ab(fim.a, fim.b, weights))
 
     return evaluate
 
@@ -167,7 +151,6 @@ def _optimize(M, n_th, N_tot, weights, objective: str, best_xi=None) -> OptResul
         xi=float(xi),
         privacy=float(p),
         ratio_to_best_xi=float(ratio),
-        converged=True,
         iterations=iterations,
     )
 

@@ -196,7 +196,7 @@ def test_figures_writes_csv(runner, tmp_path, monkeypatch):
 def test_mc_json_and_determinism(runner):
     args = [
         "mc", "--M", "2", "--nth", "0", "--N", "1",
-        "--samples", "400", "--trials", "30", "--seed", "9", "--json",
+        "--samples", "400", "--trials", "30", "--seed", "9",
     ]
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output

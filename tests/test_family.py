@@ -7,7 +7,6 @@ from fsgsense.errors import DomainError, InfeasibleError
 from fsgsense.family import (
     FsgBlocks,
     FsgParams,
-    PhotonBudget,
     blocks_from_params,
     free_parameter_range,
     optimal_precision_blocks,
@@ -35,11 +34,6 @@ def test_blocks_validation():
     with pytest.raises(DomainError):
         # below the vacuum limit
         FsgBlocks(M=2, eps1=0.5, eps2=0.5, gam1=0.0, gam2=0.0)
-
-
-def test_photon_budget_rejects_negative():
-    with pytest.raises(DomainError):
-        PhotonBudget(N_tot=-1.0)
 
 
 @given(

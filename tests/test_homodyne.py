@@ -13,11 +13,11 @@ from fsgsense.homodyne import (
     homodyne_cov,
     homodyne_cov_derivatives,
     homodyne_fim,
-    homodyne_precision_ratio,
     mc_estimate,
     optimize_homodyne_angle,
 )
 from fsgsense.metrology import WeightVector, precision
+from fsgsense.optimize import maximize_privacy
 from fsgsense.symplectic import assemble_covariance, phase_rotation
 
 
@@ -128,8 +128,12 @@ def test_angle_optimization_respects_weights():
 
 
 def test_precision_ratio_anchors():
-    assert homodyne_precision_ratio(2, 0.0, 10.0) == pytest.approx(0.5, abs=0.05)
-    assert homodyne_precision_ratio(4, 0.0, 100.0) > 0.99
+    def ratio(M, n_th, N_tot):
+        best = maximize_privacy(M, n_th, N_tot)
+        return optimize_homodyne_angle(best.blocks).xi_hd / best.xi
+
+    assert ratio(2, 0.0, 10.0) == pytest.approx(0.5, abs=0.05)
+    assert ratio(4, 0.0, 100.0) > 0.99
 
 
 # ------------------------------------------------------------- Monte Carlo

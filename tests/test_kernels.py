@@ -1,19 +1,20 @@
-import subprocess
-import sys
-import textwrap
-
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from fsgsense import kernels
-from fsgsense.family import FsgParams, blocks_from_params, solve_s
+from fsgsense.family import FsgParams, blocks_from_params, free_parameter_range, solve_s
+from fsgsense.homodyne import homodyne_cov, optimize_homodyne_angle
 from fsgsense.metrology import qfim_fsg
 
 
-def test_family_scan_matches_scalar_path():
-    m, n_th, n_tot = 4, 1.0, 30.0
+@pytest.mark.parametrize(
+    "m, n_th, n_tot", [(4, 1.0, 30.0), (2, 0.0, 1.0), (2, 0.5, 40.0), (6, 2.0, 300.0)]
+)
+def test_family_scan_matches_scalar_path(m, n_th, n_tot):
     nu = 1.0 + 2.0 * n_th
-    ts = np.linspace(-0.4, 0.4, 41)
+    t_max = free_parameter_range(m, n_th, n_tot)
+    ts = np.linspace(-t_max, t_max, 41)
     s_arr, e1, e2, g1, g2 = kernels.family_scan(ts, m, nu, n_tot)
     for i, t in enumerate(ts):
         sol = solve_s(m, n_th, n_tot, float(t))
@@ -40,62 +41,9 @@ def test_homodyne_scan_matches_dense_fim():
         assert b_arr[i] == pytest.approx(fim.b, abs=1e-9 * scale)
 
 
-def test_underscore_originals_agree_with_dispatched():
-    ts = np.linspace(-0.7, 0.7, 101)
-    jit = kernels.family_scan(ts, 3, 3.0, 25.0)
-    plain = kernels._family_scan(ts, 3, 3.0, 25.0)
-    for a, b in zip(jit, plain):
-        assert np.array_equal(a, b)
-
-    thetas = np.linspace(0.0, np.pi, 64, endpoint=False)
-    jit = kernels.homodyne_scan(5.0, 0.3, 3.0, -0.2, 4, thetas)
-    plain = kernels._homodyne_scan(5.0, 0.3, 3.0, -0.2, 4, thetas)
-    for a, b in zip(jit, plain):
-        assert np.array_equal(a, b)
-
-
-_PARITY_SCRIPT = textwrap.dedent(
-    """
-    import hashlib
-    import numpy as np
-    from fsgsense import kernels
-
-    assert kernels.NUMBA_ENABLED == %r
-
-    ts = np.linspace(-0.9, 0.9, 501)
-    fam = kernels.family_scan(ts, 4, 3.0, 40.0)
-    thetas = np.linspace(0.0, np.pi, 501, endpoint=False)
-    hom = kernels.homodyne_scan(6.0, 0.4, 4.0, -0.3, 4, thetas)
-    digest = hashlib.sha256()
-    for arr in (*fam, *hom):
-        digest.update(arr.tobytes())
-    print(digest.hexdigest())
-    """
-)
-
-
-def _run_parity(no_numba: bool) -> str:
-    import os
-
-    env = dict(os.environ)
-    env["FSGSENSE_NO_NUMBA"] = "1" if no_numba else ""
-    script = _PARITY_SCRIPT % (not no_numba)
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
-def test_fallback_path_is_bitwise_identical():
-    assert _run_parity(no_numba=True) == _run_parity(no_numba=False)
-
-
 def test_mle_trials_recovers_zero_phase():
     # noiseless sufficient statistics at theta = 0 must give theta_hat ~ 0
     blocks = blocks_from_params(FsgParams(M=2, n_th=0.0, s=0.7, t=-0.7))
-    from fsgsense.homodyne import homodyne_cov
-
     theta_hd = 0.4
     gamma = homodyne_cov(blocks, theta_hd)
     tr_s = np.array([float(np.trace(gamma))])
@@ -106,6 +54,39 @@ def test_mle_trials_recovers_zero_phase():
     )
     assert not boundary[0]
     assert abs(theta_hat[0]) < 1e-4
+
+
+def test_mle_trials_matches_dense_likelihood():
+    # each trial's estimate must equal a bounded scalar search on the dense
+    # Gaussian log-likelihood of the same sample second moments
+    blocks = blocks_from_params(FsgParams(M=3, n_th=0.5, s=0.6, t=-0.4))
+    theta_hd = optimize_homodyne_angle(blocks).theta_star
+    gamma = homodyne_cov(blocks, theta_hd)
+    chol = np.linalg.cholesky(gamma)
+    rng = np.random.default_rng(11)
+    n_samples, lo, hi = 200, -0.3, 0.3
+    moments = []
+    for _ in range(20):
+        x = rng.standard_normal((n_samples, blocks.M)) @ chol.T
+        moments.append(x.T @ x / n_samples)
+    tr_s = np.array([np.trace(S) for S in moments])
+    sum_s = np.array([S.sum() for S in moments])
+    theta_hat, boundary = kernels.mle_trials(
+        tr_s, sum_s, blocks.M, n_samples, blocks.eps1, blocks.eps2, blocks.gam1,
+        blocks.gam2, theta_hd, lo, hi, 121, 1e-10,
+    )
+    assert not boundary.any()
+
+    def neg_ll(th, S):
+        G = homodyne_cov(blocks, theta_hd, np.full(blocks.M, th))
+        return 0.5 * (np.linalg.slogdet(G)[1] + np.trace(np.linalg.solve(G, S)))
+
+    for k, S in enumerate(moments):
+        ref = minimize_scalar(
+            neg_ll, bounds=(lo, hi), args=(S,), method="bounded",
+            options={"xatol": 1e-11},
+        )
+        assert theta_hat[k] == pytest.approx(ref.x, abs=1e-6)
 
 
 def test_qfim_consistency_between_kernel_scan_and_closed_form():
@@ -122,9 +103,3 @@ def test_qfim_consistency_between_kernel_scan_and_closed_form():
         f12 = 0.5 * (g1[i] ** 2 + g2[i] ** 2) * corr
         assert f11 == pytest.approx(fim.f11, rel=1e-9)
         assert f12 == pytest.approx(fim.f12, rel=1e-9)
-
-
-def test_numba_is_active_by_default():
-    if kernels.NUMBA_DISABLED:
-        pytest.skip("fallback explicitly requested via FSGSENSE_NO_NUMBA")
-    assert kernels.NUMBA_ENABLED

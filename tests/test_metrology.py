@@ -20,7 +20,6 @@ from fsgsense.metrology import (
     fim_inverse,
     mean_weights,
     precision,
-    precision_report,
     privacy,
     qfim_fsg,
     qfim_fsg_numeric,
@@ -209,10 +208,9 @@ def test_privacy_of_precision_optimum_closed_form():
 
 
 def test_precision_report_rank_one():
-    report = precision_report(qfim_fsg(tmsv_blocks(1.0)), mean_weights(2))
-    assert report.xi == pytest.approx(12.0, rel=1e-12)
-    assert report.privacy == pytest.approx(1.0, abs=1e-12)
-    assert report.mu == pytest.approx(12.0, rel=1e-12)
+    fim = qfim_fsg(tmsv_blocks(1.0))
+    assert precision(fim, mean_weights(2)) == pytest.approx(12.0, rel=1e-12)
+    assert privacy(fim, mean_weights(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------ weight matrix

@@ -19,7 +19,6 @@ def test_precision_optimum_pure_anchor():
     assert result.t_star == 0.0
     assert result.xi == pytest.approx(16.0, rel=1e-8)
     assert result.privacy == pytest.approx(0.8, rel=1e-8)
-    assert result.converged
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
