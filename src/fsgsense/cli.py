@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import click
@@ -48,6 +48,8 @@ _NUMERICAL = (
 DEFAULT_M_LIST = [2, 3, 4, 5, 6]
 DEFAULT_NTH_LIST = [0.0, 1.0, 5.0]
 DEFAULT_N_GRID = {"min": 1.0, "max": 1000.0, "points": 25, "spacing": "log"}
+CONFIG_KEYS = {"M_list", "n_th_list", "N_grid", "objective", "homodyne", "output"}
+N_GRID_KEYS = {"min", "max", "points", "spacing"}
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,30 @@ def _write_csv(path: str, records) -> None:
             writer.writerow([_fmt(getattr(rec, name)) for name in CSV_FIELDS])
 
 
+def _finite_nonnegative(*values: float) -> bool:
+    return all(math.isfinite(v) and v >= 0.0 for v in values)
+
+
+def _check_keys(where: str, spec, allowed: set[str]) -> None:
+    if not isinstance(spec, dict):
+        raise click.ClickException(f"{where} must be a JSON object")
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise click.ClickException(
+            f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}"
+        )
+
+
 def _n_grid(spec: dict) -> list[float]:
-    lo, hi = float(spec["min"]), float(spec["max"])
-    points = int(spec["points"])
+    _check_keys("N_grid", spec, N_GRID_KEYS)
+    try:
+        lo, hi = float(spec["min"]), float(spec["max"])
+        points = int(spec["points"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise click.ClickException(f"invalid N grid: {spec} ({exc!r})") from exc
     spacing = spec.get("spacing", "linear")
-    if points < 1 or lo <= 0.0 and spacing == "log" or hi < lo:
+    log_from_zero = lo == 0.0 and spacing == "log"
+    if points < 1 or not _finite_nonnegative(lo, hi) or hi < lo or log_from_zero:
         raise click.ClickException(f"invalid N grid: {spec}")
     if spacing == "log":
         return [float(x) for x in np.geomspace(lo, hi, points)]
@@ -177,17 +198,13 @@ def _n_grid(spec: dict) -> list[float]:
 
 
 def _run_sweep(m_list, nth_list, n_list, objectives, homodyne) -> list[SweepRecord]:
-    grid = [
-        (m, nth, n, obj)
+    return [
+        compute_record(m, nth, n, obj, homodyne)
         for m in m_list
         for nth in nth_list
         for n in n_list
         for obj in objectives
     ]
-    with ThreadPoolExecutor() as pool:
-        return list(
-            pool.map(lambda g: compute_record(g[0], g[1], g[2], g[3], homodyne), grid)
-        )
 
 
 @click.group()
@@ -207,8 +224,8 @@ def main():
 )
 def state(modes, nth, n_tot, objective):
     """Optimize a single configuration and report it as JSON."""
-    if modes < 2 or nth < 0.0 or n_tot < 0.0:
-        raise click.UsageError("need --M >= 2, --nth >= 0 and --N >= 0")
+    if modes < 2 or not _finite_nonnegative(nth, n_tot):
+        raise click.UsageError("need --M >= 2 and finite --nth >= 0 and --N >= 0")
     try:
         if n_tot < modes * nth:
             raise InfeasibleError(
@@ -235,33 +252,31 @@ def sweep(config_path, out):
     except (OSError, json.JSONDecodeError) as exc:
         raise click.ClickException(f"cannot read config: {exc}") from exc
 
+    _check_keys("config", cfg, CONFIG_KEYS)
     m_list = cfg.get("M_list", DEFAULT_M_LIST)
     nth_list = cfg.get("n_th_list", DEFAULT_NTH_LIST)
     objective = cfg.get("objective", "both")
     homodyne = bool(cfg.get("homodyne", False))
-    weights = cfg.get("weights", "mean")
     out_path = out or cfg.get("output")
-    if weights != "mean":
-        raise click.ClickException(f"only mean weights are supported, got {weights!r}")
     if objective not in ("precision", "privacy", "both"):
         raise click.ClickException(f"invalid objective {objective!r}")
     if not m_list or not nth_list:
         raise click.ClickException("M_list and n_th_list must be non-empty")
-    if any(int(m) < 2 for m in m_list) or any(float(x) < 0 for x in nth_list):
-        raise click.ClickException("need M >= 2 and n_th >= 0 throughout the grid")
+    try:
+        m_list = [int(m) for m in m_list]
+        nth_list = [float(x) for x in nth_list]
+    except (TypeError, ValueError, OverflowError) as exc:
+        msg = f"M_list and n_th_list must list numbers: {exc}"
+        raise click.ClickException(msg) from exc
+    if any(m < 2 for m in m_list) or not _finite_nonnegative(*nth_list):
+        raise click.ClickException("need M >= 2 and finite n_th >= 0 in the grid")
     if out_path is None:
         raise click.ClickException("no output path (config 'output' or --out)")
     n_list = _n_grid(cfg.get("N_grid", DEFAULT_N_GRID))
     objectives = ["precision", "privacy"] if objective == "both" else [objective]
 
     try:
-        records = _run_sweep(
-            [int(m) for m in m_list],
-            [float(x) for x in nth_list],
-            n_list,
-            objectives,
-            homodyne,
-        )
+        records = _run_sweep(m_list, nth_list, n_list, objectives, homodyne)
     except _NUMERICAL as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
@@ -332,7 +347,7 @@ def mc(modes, nth, n_tot, samples, trials, seed):
     """Monte-Carlo Cramér-Rao check on the privacy-optimized state."""
     if samples < 2 or trials < 2:
         raise click.UsageError("--samples and --trials must both be >= 2")
-    if modes < 2 or nth < 0.0 or n_tot < 0.0 or not 0 <= seed < 2**64:
+    if modes < 2 or not _finite_nonnegative(nth, n_tot) or not 0 <= seed < 2**64:
         raise click.UsageError("invalid --M/--nth/--N/--seed")
     try:
         result = maximize_privacy(modes, nth, n_tot)

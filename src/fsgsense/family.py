@@ -54,17 +54,7 @@ class FsgBlocks:
     def __post_init__(self):
         if self.M < 2:
             raise DomainError(f"M must be >= 2, got {self.M}")
-        m = self.M
-        factors = (
-            self.eps1 - self.gam1,
-            self.eps2 - self.gam2,
-            self.eps1 + (m - 1) * self.gam1,
-            self.eps2 + (m - 1) * self.gam2,
-        )
-        if min(factors) <= 0.0:
-            raise DomainError(f"block positivity violated: factors {factors}")
-        nu_minus = np.sqrt(factors[0] * factors[1])
-        nu_plus = np.sqrt(factors[2] * factors[3])
+        nu_minus, nu_plus = fsg_symplectic_eigenvalues(self)
         if nu_minus < 1.0 - _TOL_NU or nu_plus < 1.0 - _TOL_NU:
             raise DomainError(
                 f"symplectic eigenvalues below vacuum: nu-={nu_minus}, nu+={nu_plus}"

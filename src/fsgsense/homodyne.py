@@ -17,7 +17,7 @@ from scipy import stats
 from . import kernels
 from .errors import ConvergenceError, DegenerateError, DomainError, NumericalError
 from .family import FsgBlocks
-from .metrology import StructuredFim, WeightVector, mean_weights, precision, xi_from_ab
+from .metrology import StructuredFim, WeightVector, mean_weights, precision
 
 ANGLE_GRID_POINTS = 1001
 MLE_BRACKET = 0.3
@@ -55,9 +55,6 @@ class HomodyneOpt:
     theta_star: float
     fim: StructuredFim
     xi_hd: float
-    theta_direct: float
-    xi_direct: float
-    proxy_consistent: bool
 
 
 def homodyne_cov(
@@ -114,31 +111,22 @@ def homodyne_cov_derivatives(blocks: FsgBlocks, theta_hd: float) -> list[np.ndar
 def homodyne_fim(blocks: FsgBlocks, theta_hd: float) -> StructuredFim:
     """Classical Fisher matrix of equal-angle homodyne detection.
 
-    Dense evaluation of F_jk = Tr[G^-1 (d_j G) G^-1 (d_k G)] / 2, then
-    collapsed to the a I + b J structure it provably has for FSG probes.
+    F_jk = Tr[G^-1 (d_j G) G^-1 (d_k G)] / 2 in its a I + b J form, from
+    the structured inverse of G = g I + c J (see kernels.homodyne_scan).
     """
-    m = blocks.M
-    gamma = homodyne_cov(blocks, theta_hd)
-    derivs = homodyne_cov_derivatives(blocks, theta_hd)
-    try:
-        inv = np.linalg.inv(gamma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"homodyne covariance inversion failed: {exc}") from exc
-    prods = [inv @ d for d in derivs]
-    fim = np.empty((m, m))
-    for j in range(m):
-        for k in range(j, m):
-            fim[j, k] = fim[k, j] = 0.5 * np.sum(prods[j] * prods[k].T)
-    diag = np.diag(fim)
-    offs = fim[~np.eye(m, dtype=bool)]
-    scale = max(1.0, float(np.max(np.abs(fim))))
-    if np.ptp(diag) > 1e-8 * scale or np.ptp(offs) > 1e-8 * scale:
-        raise NumericalError("homodyne Fisher matrix lost its a I + b J structure")
-    b = float(np.mean(offs))
-    a = float(np.mean(diag)) - b
+    args = (blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M)
+    g, gp, _, _ = kernels._angle_cov(*args, theta_hd)
+    min_eig = min(g, gp)  # the exact spectrum of G
+    if min_eig <= 1e-10:
+        raise NumericalError(
+            f"homodyne covariance lost positive definiteness (min eig {min_eig:.3e})"
+        )
+    a_arr, b_arr = kernels.homodyne_scan(*args, np.array([theta_hd]))
+    a, b = float(a_arr[0]), float(b_arr[0])
+    scale = max(1.0, abs(a + b), abs(b))
     if -1e-12 * scale < a < 0.0:
         a = 0.0
-    return StructuredFim(M=m, a=a, b=b)
+    return StructuredFim(M=blocks.M, a=a, b=b)
 
 
 def _angle_grid(blocks: FsgBlocks, thetas: np.ndarray):
@@ -152,9 +140,8 @@ def optimize_homodyne_angle(
 ) -> HomodyneOpt:
     """Best common homodyne angle in [0, pi).
 
-    Primary criterion: maximize Tr(W F).  The direct criterion, maximizing
-    the precision 1 / Tr(W F^+), is evaluated on the same grid as a
-    cross-check; for uniform weights the two are algebraically identical.
+    Maximizes Tr(W F) = ||w||_2^2 a + b, which for uniform weights is the
+    precision xi_hd / M^2 itself.
     """
     m = blocks.M
     weights = weights if weights is not None else mean_weights(m)
@@ -180,22 +167,8 @@ def optimize_homodyne_angle(
     if proxy[idx] > proxy_at(theta_star):
         theta_star = float(thetas[idx])
     fim = homodyne_fim(blocks, theta_star)
-    xi_hd = precision(fim, weights)
-
-    xi_arr = xi_from_ab(a_arr, b_arr, weights)
-    j = int(np.argmax(xi_arr))
-    theta_direct = float(thetas[j])
-    xi_direct = float(xi_arr[j])
-    # the refined proxy angle must not lose precision against the best
-    # grid point of the direct criterion (it may gain: the grid is coarse)
-    consistent = xi_hd >= xi_direct - 1e-9 * max(1.0, xi_direct)
     return HomodyneOpt(
-        theta_star=float(theta_star),
-        fim=fim,
-        xi_hd=float(xi_hd),
-        theta_direct=theta_direct,
-        xi_direct=xi_direct,
-        proxy_consistent=bool(consistent),
+        theta_star=float(theta_star), fim=fim, xi_hd=float(precision(fim, weights))
     )
 
 

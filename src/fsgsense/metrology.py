@@ -140,18 +140,9 @@ def fisher_coeffs(eps1, eps2, gam1, gam2, nu):
     return f11 - f12, f12
 
 
-def xi_from_ab(a, b, weights: WeightVector):
-    """Precision 1 / Tr(W F^-1) of F = a I + b J; array-aware.
-
-    Uniform weights use xi = M (a + M b); otherwise points with a <= 0
-    give 0.
-    """
-    m = weights.M
-    if weights.is_mean:
-        return m * (a + m * b)
-    n2 = weights.norm2_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(a > 0.0, 1.0 / (n2 / a - b / (a * (a + m * b))), 0.0)
+def xi_from_ab(a, b, m: int):
+    """Mean-phase precision xi = M (a + M b) of F = a I + b J; array-aware."""
+    return m * (a + m * b)
 
 
 def privacy_from_ab(a, b, weights: WeightVector):
@@ -199,7 +190,7 @@ def precision(fim: StructuredFim, weights: WeightVector) -> float:
     if weights.is_mean:
         if a + m * b <= 0.0:
             raise SingularError(f"Fisher matrix numerically zero: a={a}, b={b}")
-        return float(xi_from_ab(a, b, weights))
+        return float(xi_from_ab(a, b, m))
     inv = fim_inverse(fim)
     if inv.kind == "pseudo":
         # range(F) = span(1); anything off the uniform direction is invisible

@@ -22,7 +22,7 @@ from .family import (
     free_parameter_range,
     solve_s,
 )
-from .metrology import WeightVector, mean_weights, precision, qfim_fsg
+from .metrology import mean_weights, precision, qfim_fsg
 from .metrology import fisher_coeffs, privacy_from_ab, xi_from_ab
 
 GRID_POINTS = 2001
@@ -55,14 +55,16 @@ class ScanPoint:
     privacy: float
 
 
-def _xi_privacy_arrays(M, n_th, N_tot, ts, weights):
+def _xi_privacy_arrays(M, n_th, N_tot, ts):
     nu = 1.0 + 2.0 * n_th
     _, e1, e2, g1, g2 = kernels.family_scan(ts, M, nu, N_tot)
     a, b = fisher_coeffs(e1, e2, g1, g2, nu)
-    return xi_from_ab(a, b, weights), privacy_from_ab(a, b, weights)
+    return xi_from_ab(a, b, M), privacy_from_ab(a, b, mean_weights(M))
 
 
-def _scalar_objectives(M, n_th, N_tot, weights) -> Callable[[float], tuple]:
+def _scalar_objectives(M, n_th, N_tot) -> Callable[[float], tuple]:
+    weights = mean_weights(M)
+
     def evaluate(t: float) -> tuple[float, float]:
         sol = solve_s(M, n_th, N_tot, t)
         blocks = blocks_from_params(FsgParams(M=M, n_th=n_th, s=sol.s, t=t))
@@ -99,19 +101,17 @@ def _golden_max(f, lo, hi, tol=BRACKET_TOL):
     return x, fx, iterations
 
 
-def _optimize(M, n_th, N_tot, weights, objective: str, best_xi=None) -> OptResult:
-    weights = weights if weights is not None else mean_weights(M)
+def _optimize(M, n_th, N_tot, objective: str) -> OptResult:
     t_max = free_parameter_range(M, n_th, N_tot)
-    evaluate = _scalar_objectives(M, n_th, N_tot, weights)
+    evaluate = _scalar_objectives(M, n_th, N_tot)
     key = 0 if objective == "precision" else 1
-    tie_key = 1 if objective == "precision" else 0
 
     if t_max == 0.0:
         xi, p = evaluate(0.0)
         t_star, iterations = 0.0, 0
     else:
         ts = np.linspace(-t_max, t_max, GRID_POINTS)
-        xi_arr, p_arr = _xi_privacy_arrays(M, n_th, N_tot, ts, weights)
+        xi_arr, p_arr = _xi_privacy_arrays(M, n_th, N_tot, ts)
         obj_arr = xi_arr if objective == "precision" else np.nan_to_num(p_arr, nan=-np.inf)
         sec_arr = p_arr if objective == "precision" else xi_arr
         best = float(np.max(obj_arr))
@@ -137,11 +137,9 @@ def _optimize(M, n_th, N_tot, weights, objective: str, best_xi=None) -> OptResul
 
     sol = solve_s(M, n_th, N_tot, t_star)
     blocks = blocks_from_params(FsgParams(M=M, n_th=n_th, s=sol.s, t=t_star))
-    if best_xi is None:
-        if objective == "precision":
-            best_xi = xi
-        else:
-            best_xi = _optimize(M, n_th, N_tot, weights, "precision").xi
+    # xi on the photon constraint is convex in cosh(2t), so the precision
+    # optimum sits at t = 0 (tied with +-t_max when M = 2)
+    best_xi = xi if objective == "precision" else evaluate(0.0)[0]
     ratio = xi / best_xi if best_xi > 0.0 else 1.0
     return OptResult(
         objective=objective,
@@ -155,22 +153,18 @@ def _optimize(M, n_th, N_tot, weights, objective: str, best_xi=None) -> OptResul
     )
 
 
-def maximize_precision(
-    M: int, n_th: float, N_tot: float, weights: WeightVector | None = None
-) -> OptResult:
-    """FSG state maximizing estimation precision at the given budget."""
-    return _optimize(M, n_th, N_tot, weights, "precision")
+def maximize_precision(M: int, n_th: float, N_tot: float) -> OptResult:
+    """FSG state maximizing estimation precision of the mean phase."""
+    return _optimize(M, n_th, N_tot, "precision")
 
 
-def maximize_privacy(
-    M: int, n_th: float, N_tot: float, weights: WeightVector | None = None
-) -> OptResult:
-    """FSG state maximizing the privacy parameter at the given budget.
+def maximize_privacy(M: int, n_th: float, N_tot: float) -> OptResult:
+    """FSG state maximizing the privacy parameter of the mean phase.
 
     ratio_to_best_xi reports the precision retained relative to the
     precision-maximal state of the same (M, n_th, N_tot).
     """
-    return _optimize(M, n_th, N_tot, weights, "privacy")
+    return _optimize(M, n_th, N_tot, "privacy")
 
 
 def scan_free_parameter(
@@ -181,8 +175,7 @@ def scan_free_parameter(
         raise ConvergenceError(f"grid_points must be >= 3, got {grid_points}")
     t_max = free_parameter_range(M, n_th, N_tot)
     ts = np.linspace(-t_max, t_max, grid_points)
-    weights = mean_weights(M)
-    xi_arr, p_arr = _xi_privacy_arrays(M, n_th, N_tot, ts, weights)
+    xi_arr, p_arr = _xi_privacy_arrays(M, n_th, N_tot, ts)
     return [
         ScanPoint(t=float(t), xi=float(x), privacy=float(p))
         for t, x, p in zip(ts, xi_arr, p_arr)

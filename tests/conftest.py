@@ -8,6 +8,8 @@ shows the verdict for every criterion in one place.
 import numpy as np
 import pytest
 
+from fsgsense.homodyne import homodyne_cov, homodyne_cov_derivatives
+
 _CRITERION_LINES: dict[int, str] = {}
 
 
@@ -21,6 +23,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for number in sorted(_CRITERION_LINES):
         terminalreporter.write_line(_CRITERION_LINES[number])
+
+
+def dense_homodyne_fim(blocks, theta_hd):
+    """Oracle (a, b) of the homodyne Fisher matrix, evaluated densely.
+
+    F_jk = Tr[G^-1 (d_j G) G^-1 (d_k G)] / 2 from homodyne_cov and
+    homodyne_cov_derivatives; asserts that F has the a I + b J structure.
+    """
+    m = blocks.M
+    gamma = homodyne_cov(blocks, theta_hd)
+    derivs = homodyne_cov_derivatives(blocks, theta_hd)
+    prods = [np.linalg.solve(gamma, d) for d in derivs]
+    fim = np.array([[0.5 * np.sum(pj * pk.T) for pk in prods] for pj in prods])
+    diag, offs = np.diag(fim), fim[~np.eye(m, dtype=bool)]
+    scale = max(1.0, float(np.max(np.abs(fim))))
+    assert np.ptp(diag) <= 1e-8 * scale and np.ptp(offs) <= 1e-8 * scale
+    b = float(np.mean(offs))
+    return float(np.mean(diag)) - b, b
 
 
 @pytest.fixture

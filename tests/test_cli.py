@@ -50,9 +50,26 @@ def test_state_infeasible_exits_2(runner):
     assert "infeasible" in result.output
 
 
+# (--M, --nth, --N) triples that must fail validation, not the optimizer
+BAD_STATE_ARGS = [
+    ("1", "0", "1"),
+    ("2", "0", "nan"),
+    ("2", "0", "inf"),
+    ("2", "nan", "1"),
+    ("2", "-1", "1"),
+]
+
+
+def _assert_one_line_error(result):
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip().splitlines()[-1].startswith("Error: ")
+
+
 def test_state_bad_arguments_exit_1(runner):
-    result = runner.invoke(main, ["state", "--M", "1", "--nth", "0", "--N", "1"])
-    assert result.exit_code == 1
+    for m, nth, n in BAD_STATE_ARGS:
+        result = runner.invoke(main, ["state", "--M", m, "--nth", nth, "--N", n])
+        _assert_one_line_error(result)
     result = runner.invoke(main, ["state", "--M", "2", "--nth", "0"])
     assert result.exit_code == 1
 
@@ -146,6 +163,30 @@ def test_sweep_config_errors_exit_1(runner, tmp_path):
     assert runner.invoke(main, ["sweep", "--config", "/no/such/file.json"]).exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"N_gird": {"min": 1.0, "max": 10.0, "points": 3}},
+        {"weights": "mean"},
+        {"N_grid": {"min": 1.0, "max": 10.0, "points": 3, "spaceing": "log"}},
+        {"N_grid": {"min": -5, "max": 5, "points": 3, "spacing": "linear"}},
+        {"N_grid": {"min": -5, "spacing": "linear"}},
+        {"N_grid": {"min": 1.0, "max": float("nan"), "points": 3, "spacing": "log"}},
+        {"N_grid": {"min": 1.0, "max": float("inf"), "points": 3}},
+        {"N_grid": {"min": 1.0, "max": 10.0, "points": "many"}},
+        {"n_th_list": [float("nan")]},
+    ],
+    ids=[
+        "typo-key", "weights-key", "typo-N_grid-key", "negative-N", "missing-N-keys",
+        "nan-N", "inf-N", "bad-points", "nan-n_th",
+    ],
+)
+def test_sweep_bad_config_exits_1(runner, tmp_path, overrides):
+    config, _ = _sweep_config(tmp_path, **overrides)
+    _assert_one_line_error(runner.invoke(main, ["sweep", "--config", str(config)]))
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_unwritable_output_exits_4(runner, tmp_path):
     config, _ = _sweep_config(
         tmp_path,
@@ -212,6 +253,12 @@ def test_mc_bad_arguments_exit_1(runner):
         main, ["mc", "--M", "2", "--nth", "0", "--N", "1", "--samples", "1", "--trials", "30"]
     )
     assert result.exit_code == 1
+    for m, nth, n in BAD_STATE_ARGS:
+        result = runner.invoke(
+            main,
+            ["mc", "--M", m, "--nth", nth, "--N", n, "--samples", "10", "--trials", "10"],
+        )
+        _assert_one_line_error(result)
 
 
 def test_mc_infeasible_exits_2(runner):

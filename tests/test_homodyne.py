@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from conftest import dense_homodyne_fim
 
-from fsgsense.errors import DegenerateError, DomainError
+from fsgsense.errors import DegenerateError, DomainError, NumericalError
 from fsgsense.family import (
+    FsgBlocks,
     FsgParams,
     blocks_from_params,
     optimal_precision_blocks,
@@ -18,7 +20,7 @@ from fsgsense.homodyne import (
 )
 from fsgsense.metrology import WeightVector, precision
 from fsgsense.optimize import maximize_privacy
-from fsgsense.symplectic import assemble_covariance, phase_rotation
+from fsgsense.symplectic import assemble_covariance, phase_rotation, physicality_check
 
 
 def random_blocks(rng):
@@ -75,19 +77,25 @@ def test_derivatives_match_central_differences(rng):
 
 
 def test_fim_structure_and_kernel_parity(rng):
-    from fsgsense import kernels
-
     for _ in range(25):
         blocks = random_blocks(rng)
         theta = float(rng.uniform(0.05, np.pi - 0.05))
         fim = homodyne_fim(blocks, theta)
-        a, b = kernels.homodyne_scan(
-            blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2,
-            blocks.M, np.array([theta]),
-        )
-        scale = max(1.0, abs(fim.a) + abs(fim.b))
-        assert fim.a == pytest.approx(float(a[0]), abs=1e-9 * scale)
-        assert fim.b == pytest.approx(float(b[0]), abs=1e-9 * scale)
+        a, b = dense_homodyne_fim(blocks, theta)
+        scale = max(1.0, abs(a) + abs(b))
+        assert fim.a == pytest.approx(a, abs=1e-9 * scale)
+        assert fim.b == pytest.approx(b, abs=1e-9 * scale)
+
+
+def test_fim_rejects_near_singular_covariance():
+    # physical squeezed blocks whose x-quadrature variance is ~1e-11: at
+    # theta_hd = 0 the homodyne covariance is numerically singular
+    blocks = FsgBlocks(M=2, eps1=1e-11, eps2=1e11, gam1=0.0, gam2=0.0)
+    assert physicality_check(assemble_covariance(blocks)).physical
+    with pytest.raises(NumericalError):
+        homodyne_fim(blocks, 0.0)
+    with pytest.raises(NumericalError):
+        homodyne_cov(blocks, 0.0)
 
 
 def test_fim_never_exceeds_quantum_limit(rng):
@@ -106,7 +114,6 @@ def test_tmsv_angle_optimization_anchor():
     hd = optimize_homodyne_angle(tmsv_blocks(1.0))
     assert hd.xi_hd == pytest.approx(6.125, rel=1e-9)
     assert np.cos(2.0 * hd.theta_star) ** 2 == pytest.approx(20.0 / 27.0, abs=0.01)
-    assert hd.proxy_consistent
     # homodyne keeps just over half of the collective precision 12
     assert hd.xi_hd / 12.0 == pytest.approx(0.5104, abs=1e-3)
 

@@ -72,6 +72,22 @@ def test_precision_matches_brute_force_grid():
     assert result.xi >= brute - 1e-9 * brute
 
 
+@pytest.mark.parametrize("m", [2, 3, 6, 50])
+@pytest.mark.parametrize("n_th", [0.0, 1.0, 5.0])
+def test_precision_optimum_closed_form(m, n_th):
+    # on the photon constraint xi is convex in cosh(2t), so the optimum is
+    # the t = 0 state: xi = 4 nu^2 / (1 + nu^2) [(K - M + 1)^2 - 1]
+    nu = 1.0 + 2.0 * n_th
+    budgets = [n for n in np.geomspace(1.0, 2e3, 7) if n >= m * n_th]
+    assert budgets
+    for n_tot in budgets:
+        k = (2.0 * n_tot + m) / nu
+        expected = 4.0 * nu**2 / (1.0 + nu**2) * ((k - m + 1.0) ** 2 - 1.0)
+        xi = maximize_precision(m, n_th, n_tot).xi
+        assert xi == pytest.approx(expected, rel=1e-10)
+        assert maximize_privacy(m, n_th, n_tot).ratio_to_best_xi <= 1.0
+
+
 def test_scan_free_parameter_shape_and_symmetric_grid():
     points = scan_free_parameter(3, 0.0, 5.0, 101)
     assert len(points) == 101
