@@ -169,6 +169,15 @@ def _finite_nonnegative(*values: float) -> bool:
     return all(math.isfinite(v) and v >= 0.0 for v in values)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _check_keys(where: str, spec, allowed: set[str]) -> None:
     if not isinstance(spec, dict):
         raise click.ClickException(f"{where} must be a JSON object")
@@ -181,11 +190,15 @@ def _check_keys(where: str, spec, allowed: set[str]) -> None:
 
 def _n_grid(spec: dict) -> list[float]:
     _check_keys("N_grid", spec, N_GRID_KEYS)
+    lo, hi, points = (spec.get(key) for key in ("min", "max", "points"))
+    if not (_is_number(lo) and _is_number(hi) and _is_int(points)):
+        raise click.ClickException(
+            f"invalid N grid: {spec} (min and max must be numbers, points an integer)"
+        )
     try:
-        lo, hi = float(spec["min"]), float(spec["max"])
-        points = int(spec["points"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise click.ClickException(f"invalid N grid: {spec} ({exc!r})") from exc
+        lo, hi = float(lo), float(hi)
+    except OverflowError as exc:
+        raise click.ClickException(f"invalid N grid: {spec} ({exc})") from exc
     spacing = spec.get("spacing", "linear")
     log_from_zero = lo == 0.0 and spacing == "log"
     if points < 1 or not _finite_nonnegative(lo, hi) or hi < lo or log_from_zero:
@@ -249,29 +262,35 @@ def sweep(config_path, out):
     try:
         with open(config_path) as handle:
             cfg = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, huge int literals
         raise click.ClickException(f"cannot read config: {exc}") from exc
 
     _check_keys("config", cfg, CONFIG_KEYS)
     m_list = cfg.get("M_list", DEFAULT_M_LIST)
     nth_list = cfg.get("n_th_list", DEFAULT_NTH_LIST)
     objective = cfg.get("objective", "both")
-    homodyne = bool(cfg.get("homodyne", False))
+    homodyne = cfg.get("homodyne", False)
     out_path = out or cfg.get("output")
     if objective not in ("precision", "privacy", "both"):
         raise click.ClickException(f"invalid objective {objective!r}")
+    if not isinstance(homodyne, bool):
+        raise click.ClickException(f"homodyne must be true or false, got {homodyne!r}")
+    if not isinstance(m_list, list) or not all(_is_int(m) for m in m_list):
+        raise click.ClickException(f"M_list must list integers, got {m_list!r}")
+    if not isinstance(nth_list, list) or not all(_is_number(x) for x in nth_list):
+        raise click.ClickException(f"n_th_list must list numbers, got {nth_list!r}")
     if not m_list or not nth_list:
         raise click.ClickException("M_list and n_th_list must be non-empty")
     try:
-        m_list = [int(m) for m in m_list]
         nth_list = [float(x) for x in nth_list]
-    except (TypeError, ValueError, OverflowError) as exc:
-        msg = f"M_list and n_th_list must list numbers: {exc}"
-        raise click.ClickException(msg) from exc
+    except OverflowError as exc:
+        raise click.ClickException(f"n_th_list out of range: {exc}") from exc
     if any(m < 2 for m in m_list) or not _finite_nonnegative(*nth_list):
         raise click.ClickException("need M >= 2 and finite n_th >= 0 in the grid")
-    if out_path is None:
-        raise click.ClickException("no output path (config 'output' or --out)")
+    if not isinstance(out_path, str):
+        raise click.ClickException(
+            f"need an output path (config 'output' or --out), got {out_path!r}"
+        )
     n_list = _n_grid(cfg.get("N_grid", DEFAULT_N_GRID))
     objectives = ["precision", "privacy"] if objective == "both" else [objective]
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import kernels
 from .errors import ConvergenceError, DegenerateError, DomainError, NumericalError
@@ -108,20 +107,31 @@ def homodyne_cov_derivatives(blocks: FsgBlocks, theta_hd: float) -> list[np.ndar
     return out
 
 
+def _cov_spectrum(blocks: FsgBlocks, theta_hd: float) -> tuple[float, float]:
+    """Eigenvalues (g, g + M c) of the equal-angle covariance G = g I + c J.
+
+    g + M c belongs to the common mode 1/sqrt(M), g to the M - 1 modes
+    orthogonal to it.  Raises NumericalError when G is not positive definite.
+    """
+    g, gp, _, _ = kernels._angle_cov(
+        blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M, theta_hd
+    )
+    min_eig = min(g, gp)
+    if min_eig <= 1e-10:
+        raise NumericalError(
+            f"homodyne covariance lost positive definiteness (min eig {min_eig:.3e})"
+        )
+    return float(g), float(gp)
+
+
 def homodyne_fim(blocks: FsgBlocks, theta_hd: float) -> StructuredFim:
     """Classical Fisher matrix of equal-angle homodyne detection.
 
     F_jk = Tr[G^-1 (d_j G) G^-1 (d_k G)] / 2 in its a I + b J form, from
     the structured inverse of G = g I + c J (see kernels.homodyne_scan).
     """
-    args = (blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M)
-    g, gp, _, _ = kernels._angle_cov(*args, theta_hd)
-    min_eig = min(g, gp)  # the exact spectrum of G
-    if min_eig <= 1e-10:
-        raise NumericalError(
-            f"homodyne covariance lost positive definiteness (min eig {min_eig:.3e})"
-        )
-    a_arr, b_arr = kernels.homodyne_scan(*args, np.array([theta_hd]))
+    _cov_spectrum(blocks, theta_hd)
+    a_arr, b_arr = _angle_grid(blocks, np.array([theta_hd]))
     a, b = float(a_arr[0]), float(b_arr[0])
     scale = max(1.0, abs(a + b), abs(b))
     if -1e-12 * scale < a < 0.0:
@@ -175,32 +185,31 @@ def optimize_homodyne_angle(
 def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
     """Empirical check of the Cramér-Rao bound along the common direction.
 
-    Each trial draws n_samples outcomes from N(0, Gamma), forms the 1-D
-    maximum-likelihood estimate of the common phase on
-    [-MLE_BRACKET, MLE_BRACKET], and the variance of the estimates over
-    trials is compared with 1 / (n_samples * xi_hd), xi_hd = 1^T F 1.
-    Trial k uses the generator seeded with (seed, k), so results are
-    independent of scheduling and bitwise reproducible.
+    Each trial stands for n_samples outcomes x_i ~ N(0, Gamma) and forms the
+    1-D maximum-likelihood estimate of the common phase on
+    [-MLE_BRACKET, MLE_BRACKET]; the variance of the estimates over trials
+    is compared with 1 / (n_samples * xi_hd), xi_hd = 1^T F 1.
+
+    The likelihood sees the outcomes only through the sample covariance
+    S = sum_i x_i x_i^T / n via tr S and 1^T S 1, and both are drawn
+    exactly: Gamma = g I + c J has eigenvalue l+ = g + M c on the common
+    mode and l- = g on the other M - 1, so with independent chi-square
+    draws X ~ chi2(n) and Y ~ chi2(n (M - 1)),
+    n tr S = l+ X + l- Y  and  n 1^T S 1 = M l+ X.
+    One generator seeded with `seed` draws every X, then every Y, so the
+    cost is O(trials) and results are bitwise reproducible.
     """
     m = blocks.M
-    gamma = homodyne_cov(blocks, theta_hd)
-    try:
-        chol = np.linalg.cholesky(gamma)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(gamma)
-        vals = np.where(vals < 1e-12, 0.0, vals)
-        chol = vecs * np.sqrt(vals)
-
-    tr_s = np.empty(mc.trials)
-    sum_s = np.empty(mc.trials)
-    for k in range(mc.trials):
-        rng = np.random.default_rng([mc.seed, k])
-        x = rng.standard_normal((mc.n_samples, m)) @ chol.T
-        tr_s[k] = float(np.sum(x * x)) / mc.n_samples
-        sum_s[k] = float(np.sum(x.sum(axis=1) ** 2)) / mc.n_samples
+    n = mc.n_samples
+    lam_minus, lam_plus = _cov_spectrum(blocks, theta_hd)
+    rng = np.random.default_rng(mc.seed)
+    common = rng.chisquare(n, mc.trials)
+    rest = rng.chisquare(n * (m - 1), mc.trials)
+    tr_s = (lam_plus * common + lam_minus * rest) / n
+    sum_s = m * lam_plus * common / n
 
     theta_hat, boundary = kernels.mle_trials(
-        tr_s, sum_s, m, mc.n_samples,
+        tr_s, sum_s, m, n,
         blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2,
         theta_hd, -MLE_BRACKET, MLE_BRACKET, _MLE_GRID, 1e-10,
     )
@@ -215,11 +224,14 @@ def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
     xi_hd = float(m * (fim.a + m * fim.b))
     if xi_hd <= 0.0:
         raise DegenerateError("homodyne Fisher information vanishes at this angle")
-    crb = 1.0 / (mc.n_samples * xi_hd)
+    crb = 1.0 / (n * xi_hd)
+    from scipy.special import gammaincinv  # only here: scipy is slow to import
+
+    # the chi2(dof) quantile at p is 2 gammaincinv(dof / 2, p)
     dof = mc.trials - 1
     ci95 = (
-        float(dof * empirical_var / stats.chi2.ppf(0.975, dof)),
-        float(dof * empirical_var / stats.chi2.ppf(0.025, dof)),
+        float(dof * empirical_var / (2.0 * gammaincinv(dof / 2, 0.975))),
+        float(dof * empirical_var / (2.0 * gammaincinv(dof / 2, 0.025))),
     )
     return McReport(
         empirical_var=empirical_var,

@@ -43,6 +43,25 @@ def dense_homodyne_fim(blocks, theta_hd):
     return float(np.mean(diag)) - b, b
 
 
+def dense_sufficient_stats(blocks, theta_hd, n_samples, trials, seed):
+    """Oracle per-trial (tr S, 1^T S 1) from explicitly drawn outcomes.
+
+    Trial k draws n_samples outcomes as standard_normal((n, M)) @ chol^T,
+    chol the Cholesky factor of homodyne_cov, from the generator seeded
+    with (seed, k), and reduces their sample covariance S to the two
+    statistics the likelihood uses.
+    """
+    chol = np.linalg.cholesky(homodyne_cov(blocks, theta_hd))
+    tr_s = np.empty(trials)
+    sum_s = np.empty(trials)
+    for k in range(trials):
+        rng = np.random.default_rng([seed, k])
+        x = rng.standard_normal((n_samples, blocks.M)) @ chol.T
+        tr_s[k] = np.sum(x * x) / n_samples
+        sum_s[k] = np.sum(x.sum(axis=1) ** 2) / n_samples
+    return tr_s, sum_s
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fsgsense
 from fsgsense.cli import CSV_FIELDS, main
 
 
@@ -25,6 +30,20 @@ def _sweep_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(fsgsense.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, fsgsense.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------- state
@@ -148,6 +167,8 @@ def test_sweep_config_errors_exit_1(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert runner.invoke(main, ["sweep", "--config", str(bad)]).exit_code == 1
+    bad.write_bytes(b'{"\xff": 0}')  # not UTF-8
+    _assert_one_line_error(runner.invoke(main, ["sweep", "--config", str(bad)]))
 
     config, _ = _sweep_config(tmp_path, objective="nonsense")
     assert runner.invoke(main, ["sweep", "--config", str(config)]).exit_code == 1
@@ -175,10 +196,21 @@ def test_sweep_config_errors_exit_1(runner, tmp_path):
         {"N_grid": {"min": 1.0, "max": float("inf"), "points": 3}},
         {"N_grid": {"min": 1.0, "max": 10.0, "points": "many"}},
         {"n_th_list": [float("nan")]},
+        {"M_list": [2.7]},
+        {"M_list": [2, True]},
+        {"M_list": "23"},
+        {"homodyne": "false"},
+        {"homodyne": 1},
+        {"N_grid": {"min": 1.0, "max": 10.0, "points": 2.5}},
+        {"N_grid": {"min": "1", "max": 10.0, "points": 3}},
+        {"n_th_list": ["0.5"]},
+        {"output": 1},
     ],
     ids=[
         "typo-key", "weights-key", "typo-N_grid-key", "negative-N", "missing-N-keys",
-        "nan-N", "inf-N", "bad-points", "nan-n_th",
+        "nan-N", "inf-N", "bad-points", "nan-n_th", "float-M", "bool-M", "string-M_list",
+        "string-homodyne", "int-homodyne", "float-points", "string-N", "string-n_th",
+        "int-output",
     ],
 )
 def test_sweep_bad_config_exits_1(runner, tmp_path, overrides):

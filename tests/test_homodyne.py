@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import dense_homodyne_fim
+from conftest import dense_homodyne_fim, dense_sufficient_stats
 
 from fsgsense.errors import DegenerateError, DomainError, NumericalError
 from fsgsense.family import (
@@ -10,6 +10,7 @@ from fsgsense.family import (
     optimal_precision_blocks,
     tmsv_blocks,
 )
+from fsgsense import kernels
 from fsgsense.homodyne import (
     McConfig,
     homodyne_cov,
@@ -96,6 +97,8 @@ def test_fim_rejects_near_singular_covariance():
         homodyne_fim(blocks, 0.0)
     with pytest.raises(NumericalError):
         homodyne_cov(blocks, 0.0)
+    with pytest.raises(NumericalError):
+        mc_estimate(blocks, 0.0, McConfig(n_samples=100, trials=10, seed=0))
 
 
 def test_fim_never_exceeds_quantum_limit(rng):
@@ -174,3 +177,77 @@ def test_mc_variance_tracks_the_bound():
     assert report.crb == pytest.approx(1.0 / (2000 * 6.125), rel=1e-9)
     assert 0.8 < report.ratio < 1.25
     assert report.ci95[0] < report.empirical_var < report.ci95[1]
+    # the interval is the chi-square one, computed without scipy.stats
+    from scipy import stats
+
+    var = report.empirical_var
+    for bound, p in zip(report.ci95, (0.975, 0.025)):
+        assert bound == pytest.approx(149 * var / stats.chi2.ppf(p, 149), rel=1e-15)
+
+
+def _sampled_stats(monkeypatch, blocks, theta_hd, mc):
+    """The (tr S, 1^T S 1) arrays mc_estimate hands to the likelihood."""
+    seen = []
+
+    def spy(tr_s, sum_s, *rest):
+        seen.append((tr_s, sum_s))
+        return np.zeros_like(tr_s), np.zeros(tr_s.shape, dtype=bool)
+
+    monkeypatch.setattr(kernels, "mle_trials", spy)
+    mc_estimate(blocks, theta_hd, mc)
+    return seen[0]
+
+
+@pytest.mark.parametrize(
+    "blocks, theta_hd",
+    [
+        (tmsv_blocks(1.0), 0.3),
+        (blocks_from_params(FsgParams(M=2, n_th=1.0, s=0.4, t=-0.2)), 1.1),
+        (maximize_privacy(5, 1.0, 20.0).blocks, 0.7),
+        (blocks_from_params(FsgParams(M=5, n_th=0.0, s=0.6, t=0.3)), 2.0),
+    ],
+    ids=["M2-pure", "M2-thermal", "M5-thermal", "M5-pure"],
+)
+def test_mc_sampler_matches_dense_sampler(monkeypatch, blocks, theta_hd):
+    n = 20
+    tr_new, sum_new = _sampled_stats(
+        monkeypatch, blocks, theta_hd, McConfig(n_samples=n, trials=20_000, seed=5)
+    )
+    tr_old, sum_old = dense_sufficient_stats(blocks, theta_hd, n, 3_000, seed=5)
+    # exact moments from the dense covariance: the common mode 1/sqrt(M)
+    # has eigenvalue 1^T G 1 / M, the other M - 1 modes share the rest
+    m = blocks.M
+    gamma = homodyne_cov(blocks, theta_hd)
+    lam_plus = gamma.sum() / m
+    lam_minus = (np.trace(gamma) - lam_plus) / (m - 1)
+    var_tr = 2.0 * (lam_plus**2 + (m - 1) * lam_minus**2) / n
+    var_sum = 2.0 * m**2 * lam_plus**2 / n
+    # both statistics share the common-mode draw: Cov = 2 M lam_plus^2 / n
+    var_both = var_tr + var_sum + 4.0 * m * lam_plus**2 / n
+    exact = {
+        "tr S": (np.trace(gamma), var_tr),
+        "1^T S 1": (m * lam_plus, var_sum),
+        "tr S + 1^T S 1": (np.trace(gamma) + m * lam_plus, var_both),
+    }
+    k = 5.0  # standard errors; the draws are seeded, so this never flakes
+
+    def moments(x):
+        """Sample mean and variance with their standard errors."""
+        dev = x - x.mean()
+        var = np.mean(dev**2)
+        return x.mean(), var, np.sqrt(var / len(x)), np.std(dev**2) / np.sqrt(len(x))
+
+    pairs = (
+        ("tr S", tr_new, tr_old),
+        ("1^T S 1", sum_new, sum_old),
+        ("tr S + 1^T S 1", tr_new + sum_new, tr_old + sum_old),
+    )
+    for name, new, old in pairs:
+        mean, var = exact[name]
+        mn, vn, se_mn, se_vn = moments(new)
+        mo, vo, se_mo, se_vo = moments(old)
+        assert abs(mn - mo) <= k * np.hypot(se_mn, se_mo), name
+        assert abs(vn - vo) <= k * np.hypot(se_vn, se_vo), name
+        for m_hat, v_hat, se_m, se_v in ((mn, vn, se_mn, se_vn), (mo, vo, se_mo, se_vo)):
+            assert abs(m_hat - mean) <= k * se_m, name
+            assert abs(v_hat - var) <= k * se_v, name
