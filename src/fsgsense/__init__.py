@@ -36,6 +36,7 @@ from .homodyne import (
     homodyne_fim,
     mc_estimate,
     optimize_homodyne_angle,
+    optimize_homodyne_angles,
 )
 from .metrology import (
     FimInverse,
@@ -56,6 +57,7 @@ from .optimize import (
     ScanPoint,
     maximize_precision,
     maximize_privacy,
+    optimize_batch,
     scan_free_parameter,
 )
 from .symplectic import (

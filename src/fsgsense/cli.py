@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -28,8 +29,15 @@ from .errors import (
     SingularError,
     UndefinedError,
 )
-from .homodyne import McConfig, mc_estimate, optimize_homodyne_angle
-from .optimize import OptResult, maximize_precision, maximize_privacy
+from .family import check_budget
+from .homodyne import (
+    HomodyneOpt,
+    McConfig,
+    mc_estimate,
+    optimize_homodyne_angle,
+    optimize_homodyne_angles,
+)
+from .optimize import OptResult, maximize_privacy, optimize_batch
 
 # spec'd exit-code contract: config errors exit 1
 click.UsageError.exit_code = 1
@@ -50,6 +58,9 @@ DEFAULT_NTH_LIST = [0.0, 1.0, 5.0]
 DEFAULT_N_GRID = {"min": 1.0, "max": 1000.0, "points": 25, "spacing": "log"}
 CONFIG_KEYS = {"M_list", "n_th_list", "N_grid", "objective", "homodyne", "output"}
 N_GRID_KEYS = {"min", "max", "points", "spacing"}
+# rows optimized as one batch: each (grid x rows) temporary of the t scan
+# is 2001 x 64 doubles, about 1 MB
+SWEEP_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -81,46 +92,25 @@ class SweepRecord:
 CSV_FIELDS = [f.name for f in dataclasses.fields(SweepRecord)]
 
 
-def _infeasible_record(M, n_th, N_tot, objective) -> SweepRecord:
-    none = {
-        name: None
-        for name in CSV_FIELDS
-        if name not in ("M", "n_th", "N_tot", "objective", "feasible")
-    }
-    return SweepRecord(
-        M=M, n_th=n_th, N_tot=N_tot, objective=objective, feasible=False, **none
-    )
-
-
-def compute_record(
-    M: int, n_th: float, N_tot: float, objective: str, homodyne: bool
+def _record(
+    M: int,
+    n_th: float,
+    N_tot: float,
+    objective: str,
+    result: OptResult | None,
+    hd: HomodyneOpt | None,
 ) -> SweepRecord:
-    """Optimize one configuration and flatten the result into a record."""
-    try:
-        if objective == "precision":
-            result: OptResult = maximize_precision(M, n_th, N_tot)
-        elif objective == "privacy":
-            result = maximize_privacy(M, n_th, N_tot)
-        else:
-            raise DomainError(f"unknown objective {objective!r}")
-    except InfeasibleError:
-        return _infeasible_record(M, n_th, N_tot, objective)
-
-    theta_hd_star = xi_hd = r_hd = None
-    if homodyne and result.xi > 0.0:
-        try:
-            hd = optimize_homodyne_angle(result.blocks)
-        except DegenerateError:
-            pass  # no information at any angle (e.g. budget at the floor)
-        else:
-            theta_hd_star = hd.theta_star
-            xi_hd = hd.xi_hd
-            r_hd = hd.xi_hd / result.xi
-
-    blocks = result.blocks
-    from .metrology import qfim_fsg
-
-    fim = qfim_fsg(blocks)
+    """Flatten one row's optimum (None: infeasible) and homodyne optimum."""
+    if result is None:
+        empty = {
+            name: None
+            for name in CSV_FIELDS
+            if name not in ("M", "n_th", "N_tot", "objective", "feasible")
+        }
+        return SweepRecord(
+            M=M, n_th=n_th, N_tot=N_tot, objective=objective, feasible=False, **empty
+        )
+    blocks, fim = result.blocks, result.fim
     return SweepRecord(
         M=M,
         n_th=n_th,
@@ -138,11 +128,48 @@ def compute_record(
         xi_ratio_to_opt=result.ratio_to_best_xi,
         privacy=result.privacy,
         one_minus_privacy=1.0 - result.privacy,
-        theta_hd_star=theta_hd_star,
-        xi_hd=xi_hd,
-        r_hd=r_hd,
+        theta_hd_star=None if hd is None else hd.theta_star,
+        xi_hd=None if hd is None else hd.xi_hd,
+        r_hd=None if hd is None else hd.xi_hd / result.xi,
         feasible=True,
     )
+
+
+def _feasible(M: int, n_th: float, N_tot: float) -> bool:
+    try:
+        check_budget(M, n_th, N_tot)
+    except InfeasibleError:
+        return False
+    return True
+
+
+def _compute_records(points, objective: str, homodyne: bool) -> list[SweepRecord]:
+    """Records of (M, n_th, N_tot) points under one objective, in order.
+
+    The feasible points are optimized as one batch; with homodyne, so are
+    the angles of the optima that carry information (xi > 0).  A state
+    whose homodyne information vanishes at every angle keeps empty
+    homodyne cells.
+    """
+    feasible = [i for i, point in enumerate(points) if _feasible(*point)]
+    optima = optimize_batch([points[i] for i in feasible], objective)
+    results = dict(zip(feasible, optima))
+    angles = {}
+    if homodyne:
+        live = [i for i in feasible if results[i].xi > 0.0]
+        best_angles = optimize_homodyne_angles([results[i].blocks for i in live])
+        angles = dict(zip(live, best_angles))
+    return [
+        _record(*point, objective, results.get(i), angles.get(i))
+        for i, point in enumerate(points)
+    ]
+
+
+def compute_record(
+    M: int, n_th: float, N_tot: float, objective: str, homodyne: bool
+) -> SweepRecord:
+    """Optimize one configuration and flatten the result into a record."""
+    return _compute_records([(M, n_th, N_tot)], objective, homodyne)[0]
 
 
 def _fmt(value) -> str:
@@ -211,13 +238,21 @@ def _n_grid(spec: dict) -> list[float]:
 
 
 def _run_sweep(m_list, nth_list, n_list, objectives, homodyne) -> list[SweepRecord]:
-    return [
-        compute_record(m, nth, n, obj, homodyne)
-        for m in m_list
-        for nth in nth_list
-        for n in n_list
+    """Records in (M, n_th, N_tot, objective) order, computed in batches of
+    at most SWEEP_CHUNK_ROWS points under one objective."""
+    points = [(m, nth, n) for m in m_list for nth in nth_list for n in n_list]
+    columns = [
+        [
+            record
+            for start in range(0, len(points), SWEEP_CHUNK_ROWS)
+            for record in _compute_records(
+                points[start:start + SWEEP_CHUNK_ROWS], obj, homodyne
+            )
+        ]
         for obj in objectives
     ]
+    # the objective varies fastest along the rows
+    return [record for row in zip(*columns) for record in row]
 
 
 @click.group()
@@ -330,8 +365,6 @@ def figures(outdir, which):
         3: ("privacy", False),
         4: ("privacy", True),
     }
-    import os
-
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .symplectic import fsg_symplectic_eigenvalues
+from .symplectic import first_where, fsg_eigenvalues, fsg_symplectic_eigenvalues
 
 #: Eigenvalue slack allowed below the vacuum limit nu = 1.
 _TOL_NU = 1e-9
@@ -54,11 +54,24 @@ class FsgBlocks:
     def __post_init__(self):
         if self.M < 2:
             raise DomainError(f"M must be >= 2, got {self.M}")
-        nu_minus, nu_plus = fsg_symplectic_eigenvalues(self)
-        if nu_minus < 1.0 - _TOL_NU or nu_plus < 1.0 - _TOL_NU:
-            raise DomainError(
-                f"symplectic eigenvalues below vacuum: nu-={nu_minus}, nu+={nu_plus}"
+        physical_eigenvalues(self.eps1, self.eps2, self.gam1, self.gam2, self.M)
+
+
+def physical_eigenvalues(eps1, eps2, gam1, gam2, m):
+    """Symplectic eigenvalues (nu-, nu+) of FSG blocks, elementwise.
+
+    Raises DomainError where a factor is not positive or an eigenvalue
+    lies below the vacuum limit by more than _TOL_NU.
+    """
+    nu_minus, nu_plus = fsg_eigenvalues(eps1, eps2, gam1, gam2, m)
+    low = (nu_minus < 1.0 - _TOL_NU) | (nu_plus < 1.0 - _TOL_NU)
+    if np.count_nonzero(low):
+        raise DomainError(
+            "symplectic eigenvalues below vacuum: nu-={}, nu+={}".format(
+                *first_where(low, nu_minus, nu_plus)
             )
+        )
+    return nu_minus, nu_plus
 
 
 @dataclass(frozen=True)
@@ -108,7 +121,9 @@ def total_photons(blocks: FsgBlocks) -> float:
     return blocks.M * (blocks.eps1 + blocks.eps2 - 2.0) / 4.0
 
 
-def _check_budget(M: int, n_th: float, N_tot: float) -> None:
+def check_budget(M: int, n_th: float, N_tot: float) -> None:
+    """Raise DomainError for a negative budget, InfeasibleError for one
+    below the thermal floor M * n_th."""
     if N_tot < 0.0:
         raise DomainError(f"N_tot must be >= 0, got {N_tot}")
     floor = M * n_th
@@ -125,7 +140,7 @@ def solve_s(M: int, n_th: float, N_tot: float, t: float) -> SolveSResult:
     feasible=False when |t| exceeds the budget (h < 1).  Raises
     InfeasibleError when the budget is below the thermal floor M * n_th.
     """
-    _check_budget(M, n_th, N_tot)
+    check_budget(M, n_th, N_tot)
     nu = 1.0 + 2.0 * n_th
     h = (2.0 * N_tot + M) / nu - (M - 1) * np.cosh(2.0 * t)
     if h < 1.0 - 1e-12:
@@ -140,7 +155,7 @@ def free_parameter_range(M: int, n_th: float, N_tot: float) -> float:
     cosh(2 t_max) = [(2 N_tot + M)/nu - 1] / (M - 1); the feasible set of
     solve_s on the s >= 0 branch is exactly [-t_max, t_max].
     """
-    _check_budget(M, n_th, N_tot)
+    check_budget(M, n_th, N_tot)
     nu = 1.0 + 2.0 * n_th
     h = ((2.0 * N_tot + M) / nu - 1.0) / (M - 1)
     return float(0.5 * np.arccosh(max(h, 1.0)))

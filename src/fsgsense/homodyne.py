@@ -9,7 +9,9 @@ the a I + b J structure of the probe state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .family import FsgBlocks
 from .metrology import StructuredFim, WeightVector, mean_weights, precision
 
 ANGLE_GRID_POINTS = 1001
+ANGLE_TOL = 1e-10
 MLE_BRACKET = 0.3
 _MLE_GRID = 121
 
@@ -131,7 +134,9 @@ def homodyne_fim(blocks: FsgBlocks, theta_hd: float) -> StructuredFim:
     the structured inverse of G = g I + c J (see kernels.homodyne_scan).
     """
     _cov_spectrum(blocks, theta_hd)
-    a_arr, b_arr = _angle_grid(blocks, np.array([theta_hd]))
+    a_arr, b_arr = kernels.homodyne_scan(
+        blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M, np.array([theta_hd])
+    )
     a, b = float(a_arr[0]), float(b_arr[0])
     scale = max(1.0, abs(a + b), abs(b))
     if -1e-12 * scale < a < 0.0:
@@ -139,47 +144,71 @@ def homodyne_fim(blocks: FsgBlocks, theta_hd: float) -> StructuredFim:
     return StructuredFim(M=blocks.M, a=a, b=b)
 
 
-def _angle_grid(blocks: FsgBlocks, thetas: np.ndarray):
-    return kernels.homodyne_scan(
-        blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M, thetas
+def optimize_homodyne_angles(
+    blocks: Sequence[FsgBlocks], weights: Sequence[WeightVector] | None = None
+) -> list[HomodyneOpt | None]:
+    """Best common homodyne angle of each state, as one batch.
+
+    Maximizes Tr(W F) = ||w||_2^2 a + b, which for uniform weights is the
+    precision xi_hd / M^2 itself: one (angle grid x states) scan on
+    [0, pi), then golden-section on every state in lockstep.  The angle is
+    reported in [0, pi/2]: Gamma(pi - theta) = Gamma(theta) and F is
+    quadratic in sin(2 theta), so theta and pi - theta are equally good.
+    weights=None means uniform weights.  A state whose homodyne Fisher
+    matrix vanishes at every grid angle gets None.
+    """
+    if weights is None:
+        weights = [mean_weights(b.M) for b in blocks]
+    if any(w.M != b.M for w, b in zip(weights, blocks, strict=True)):
+        raise DomainError("weight vector size does not match the state")
+    eps1, eps2, gam1, gam2, m = (
+        np.array([getattr(b, name) for b in blocks], dtype=float)
+        for name in ("eps1", "eps2", "gam1", "gam2", "M")
     )
+    n2 = np.array([w.norm2_sq for w in weights])
+    thetas = np.linspace(0.0, np.pi, ANGLE_GRID_POINTS, endpoint=False)[:, None]
+    a_arr, b_arr = kernels.homodyne_scan(eps1, eps2, gam1, gam2, m, thetas)
+    flat = np.max(np.abs(a_arr) + m * np.abs(b_arr), axis=0) <= 1e-14
+    live = np.flatnonzero(~flat)
+    out: list[HomodyneOpt | None] = [None] * len(blocks)
+    if not live.size:
+        return out
+
+    def proxy_at(th, rows):
+        a, b = kernels.homodyne_scan(
+            eps1[rows], eps2[rows], gam1[rows], gam2[rows], m[rows], th
+        )
+        return n2[rows] * a + b
+
+    proxy = n2[live] * a_arr[:, live] + b_arr[:, live]
+    idx = np.argmax(proxy, axis=0)
+    lo = thetas[np.maximum(idx - 1, 0), 0]
+    hi = thetas[np.minimum(idx + 1, ANGLE_GRID_POINTS - 1), 0]
+    refined, _, _, _ = kernels.golden_max(
+        lambda th, rows: proxy_at(th, live[rows]), lo, hi, ANGLE_TOL
+    )
+    grid_better = proxy[idx, np.arange(live.size)] > proxy_at(refined, live)
+    theta_star = np.where(grid_better, thetas[idx, 0], refined)
+    for i, theta in zip(live, np.minimum(theta_star, np.pi - theta_star)):
+        fim = homodyne_fim(blocks[i], float(theta))
+        out[i] = HomodyneOpt(
+            theta_star=float(theta), fim=fim, xi_hd=float(precision(fim, weights[i]))
+        )
+    return out
 
 
 def optimize_homodyne_angle(
     blocks: FsgBlocks, weights: WeightVector | None = None
 ) -> HomodyneOpt:
-    """Best common homodyne angle in [0, pi).
+    """Best common homodyne angle in [0, pi/2]; see optimize_homodyne_angles.
 
-    Maximizes Tr(W F) = ||w||_2^2 a + b, which for uniform weights is the
-    precision xi_hd / M^2 itself.
+    Raises DegenerateError when the homodyne Fisher matrix vanishes at
+    every angle.
     """
-    m = blocks.M
-    weights = weights if weights is not None else mean_weights(m)
-    if weights.M != m:
-        raise DomainError("weight vector size does not match the state")
-    thetas = np.linspace(0.0, np.pi, ANGLE_GRID_POINTS, endpoint=False)
-    a_arr, b_arr = _angle_grid(blocks, thetas)
-    if float(np.max(np.abs(a_arr) + m * np.abs(b_arr))) <= 1e-14:
+    (best,) = optimize_homodyne_angles([blocks], None if weights is None else [weights])
+    if best is None:
         raise DegenerateError("homodyne Fisher matrix vanishes for every angle")
-    n2 = weights.norm2_sq
-    proxy = n2 * a_arr + b_arr
-
-    def proxy_at(th: float) -> float:
-        a, b = _angle_grid(blocks, np.array([th]))
-        return n2 * float(a[0]) + float(b[0])
-
-    idx = int(np.argmax(proxy))
-    lo = thetas[max(idx - 1, 0)]
-    hi = thetas[min(idx + 1, ANGLE_GRID_POINTS - 1)]
-    from .optimize import _golden_max  # late import to avoid a cycle
-
-    theta_star, _, _ = _golden_max(proxy_at, lo, hi)
-    if proxy[idx] > proxy_at(theta_star):
-        theta_star = float(thetas[idx])
-    fim = homodyne_fim(blocks, theta_star)
-    return HomodyneOpt(
-        theta_star=float(theta_star), fim=fim, xi_hd=float(precision(fim, weights))
-    )
+    return best
 
 
 def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
@@ -188,7 +217,11 @@ def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
     Each trial stands for n_samples outcomes x_i ~ N(0, Gamma) and forms the
     1-D maximum-likelihood estimate of the common phase on
     [-MLE_BRACKET, MLE_BRACKET]; the variance of the estimates over trials
-    is compared with 1 / (n_samples * xi_hd), xi_hd = 1^T F 1.
+    is compared with 1 / (n_samples * xi_hd), xi_hd = 1^T F 1.  Gamma at
+    common phase phi depends on theta_hd + phi only through cos^2 and sin^2,
+    so the likelihood is even about every phi = k pi/2 - theta_hd; the
+    bracket stops at the nearest such reflection point on each side, which
+    would otherwise hold a mirror image of the true minimum.
 
     The likelihood sees the outcomes only through the sample covariance
     S = sum_i x_i x_i^T / n via tr S and 1^T S 1, and both are drawn
@@ -208,10 +241,13 @@ def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
     tr_s = (lam_plus * common + lam_minus * rest) / n
     sum_s = m * lam_plus * common / n
 
+    half_pi = 0.5 * math.pi
+    lo = max(-MLE_BRACKET, (math.ceil(theta_hd / half_pi) - 1) * half_pi - theta_hd)
+    hi = min(MLE_BRACKET, (math.floor(theta_hd / half_pi) + 1) * half_pi - theta_hd)
     theta_hat, boundary = kernels.mle_trials(
         tr_s, sum_s, m, n,
         blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2,
-        theta_hd, -MLE_BRACKET, MLE_BRACKET, _MLE_GRID, 1e-10,
+        theta_hd, lo, hi, _MLE_GRID, 1e-10,
     )
     if np.any(boundary):
         first = int(np.flatnonzero(boundary)[0])

@@ -1,12 +1,22 @@
-"""Hot numeric kernels, written as numpy array expressions over 1-D grids."""
+"""Hot numeric kernels, written as numpy array expressions.
+
+Per-row parameters (modes, nu, n_tot, the covariance blocks) broadcast
+against the trailing axis, so a (grid x rows) array of points evaluates
+many states at once.
+"""
 
 import math
 
 import numpy as np
 
+from .errors import ConvergenceError
 
-def family_scan(ts, modes, nu, n_tot):
-    """Isothermal-family scan over the free squeezing parameter t.
+MAX_GOLDEN_ITER = 200
+_INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def family_states(ts, modes, nu, n_tot):
+    """Isothermal-family states at free squeezing parameter t.
 
     For each t, solves the photon constraint
     nu * [cosh(2s) + (modes-1) cosh(2t)] = 2*n_tot + modes
@@ -14,7 +24,7 @@ def family_scan(ts, modes, nu, n_tot):
 
     Returns arrays (s, eps1, eps2, gam1, gam2).
     """
-    m = float(modes)
+    m = np.asarray(modes, dtype=float)
     rhs = (2.0 * n_tot + m) / nu
     # endpoint rounding; inside [-t_max, t_max] h >= 1
     h = np.maximum(rhs - (m - 1.0) * np.cosh(2.0 * ts), 1.0)
@@ -26,6 +36,58 @@ def family_scan(ts, modes, nu, n_tot):
     e2 = nu * (1.0 / a + (m - 1.0) / b) / m
     g2 = nu * (1.0 / a - 1.0 / b) / m
     return s, e1, e2, g1, g2
+
+
+def family_scan(ts, modes, nu, n_tot):
+    """The optimizer's coarse grid over t: family_states on a (grid x rows)
+    array.  It is its own function so that perfbench's tracer times the
+    grid apart from the golden-section refinement, which calls
+    family_states directly.
+    """
+    return family_states(ts, modes, nu, n_tot)
+
+
+def golden_max(f, lo, hi, tol):
+    """Golden-section maximization on independent brackets, in lockstep.
+
+    f(x, rows) returns the objective at the points x of the brackets with
+    indices rows.  Each step moves every bracket still wider than tol and
+    evaluates only those; NaN values compare false, as in the scalar
+    algorithm.  Raises ConvergenceError when a bracket is still open after
+    MAX_GOLDEN_ITER steps.
+
+    Returns (x, a, b, iterations): the better final interior point, the
+    final bracket [a, b] and the number of steps each bracket took.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    x1 = b - _INV_GOLDEN * (b - a)
+    x2 = a + _INV_GOLDEN * (b - a)
+    everything = np.arange(a.size)
+    # one column per bracket: a, b, x1, x2, f(x1), f(x2)
+    state = np.array([a, b, x1, x2, f(x1, everything), f(x2, everything)])
+    iterations = np.zeros(a.size, dtype=int)
+    rows = np.flatnonzero(b - a > tol)
+    step = 0
+    while rows.size:
+        if step == MAX_GOLDEN_ITER:
+            width = float(np.max(state[1, rows] - state[0, rows]))
+            raise ConvergenceError(
+                f"golden-section refinement stalled at width {width:.3e}"
+            )
+        a, b, x1, x2, f1, f2 = state[:, rows]
+        left = f1 > f2  # the maximum lies in [a, x2]
+        na, nb = np.where(left, a, x1), np.where(left, x2, b)
+        new_x = np.where(left, nb - _INV_GOLDEN * (nb - na), na + _INV_GOLDEN * (nb - na))
+        new_f = f(new_x, rows)
+        state[:, rows] = np.where(
+            left, [na, nb, new_x, x1, new_f, f1], [na, nb, x2, new_x, f2, new_f]
+        )
+        iterations[rows] += 1
+        step += 1
+        rows = rows[state[1, rows] - state[0, rows] > tol]
+    a, b, x1, x2, f1, f2 = state
+    return np.where(f1 >= f2, x1, x2), a, b, iterations
 
 
 def _angle_cov(eps1, eps2, gam1, gam2, m, phi):
@@ -58,7 +120,7 @@ def homodyne_scan(eps1, eps2, gam1, gam2, modes, thetas):
 
     Returns arrays (a, b) with F = a I + b J.
     """
-    m = float(modes)
+    m = np.asarray(modes, dtype=float)
     _, _, alpha, beta = _angle_cov(eps1, eps2, gam1, gam2, m, thetas)
     q = alpha + m * beta
     ab = alpha + beta
@@ -85,51 +147,28 @@ def mle_trials(tr_s, sum_s, modes, n_samples, eps1, eps2, gam1, gam2,
     [ln det G(theta) + tr(G(theta)^-1 S)] / 2
     with S summarized per trial by (tr S, 1^T S 1), since
     G(theta) = g I + c J for the symmetric direction.  A coarse
-    (trials x grid) scan on [lo, hi] picks each trial's bracket, then
-    golden-section refinement runs on all trials in lockstep until every
-    bracket is narrower than tol.
+    (grid x trials) scan on [lo, hi] picks each trial's bracket, then
+    golden_max refines all trials in lockstep until every bracket is
+    narrower than tol; the estimate is the final bracket's midpoint.
 
     Returns (theta_hat, hit_boundary) arrays.
     """
     m = float(modes)
-    # one row per trial; angles broadcast along the columns
-    tr_s = tr_s[:, None]
-    sum_s = sum_s[:, None]
 
-    def neg_ll(th):
+    def neg_ll(th, tr, sm):
         g, gp, alpha, beta = _angle_cov(eps1, eps2, gam1, gam2, m, theta_hd + th)
-        return 0.5 * ((m - 1.0) * np.log(g) + np.log(gp)
-                      + alpha * tr_s + beta * sum_s)
+        return 0.5 * ((m - 1.0) * np.log(g) + np.log(gp) + alpha * tr + beta * sm)
 
-    grid = lo + (hi - lo) * np.arange(grid_points) / (grid_points - 1.0)
-    best_th = grid[np.argmin(neg_ll(grid), axis=1)][:, None]
-
-    gr = 0.5 * (math.sqrt(5.0) - 1.0)
+    # one row per grid angle, one column per trial
+    grid = lo + (hi - lo) * np.arange(grid_points)[:, None] / (grid_points - 1.0)
+    best_th = grid[np.argmin(neg_ll(grid, tr_s, sum_s), axis=0), 0]
     step = (hi - lo) / (grid_points - 1.0)
-    a = np.maximum(best_th - step, lo)
-    b = np.minimum(best_th + step, hi)
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1 = neg_ll(x1)
-    f2 = neg_ll(x2)
-    active = b - a > tol
-    while active.any():
-        left = f1 < f2  # the minimum lies in [a, x2]
-        na, nb = np.where(left, a, x1), np.where(left, x2, b)
-        keep_x, keep_f = np.where(left, x1, x2), np.where(left, f1, f2)
-        new_x = np.where(left, nb - gr * (nb - na), na + gr * (nb - na))
-        new_f = neg_ll(new_x)
-        stepped = (
-            na, nb,
-            np.where(left, new_x, keep_x), np.where(left, keep_x, new_x),
-            np.where(left, new_f, keep_f), np.where(left, keep_f, new_f),
-        )
-        # converged trials keep their bracket
-        a, b, x1, x2, f1, f2 = (
-            np.where(active, new, old)
-            for new, old in zip(stepped, (a, b, x1, x2, f1, f2))
-        )
-        active = b - a > tol
-    theta_hat = 0.5 * (a + b)[:, 0]
+    _, a, b, _ = golden_max(
+        lambda th, rows: -neg_ll(th, tr_s[rows], sum_s[rows]),
+        np.maximum(best_th - step, lo),
+        np.minimum(best_th + step, hi),
+        tol,
+    )
+    theta_hat = 0.5 * (a + b)
     boundary = (theta_hat - lo < 1e-6) | (hi - theta_hat < 1e-6)
     return theta_hat, boundary

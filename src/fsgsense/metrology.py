@@ -20,8 +20,8 @@ from .errors import (
     SingularError,
     UndefinedError,
 )
-from .family import FsgBlocks
-from .symplectic import CovarianceState, fsg_symplectic_eigenvalues, symplectic_form
+from .family import FsgBlocks, physical_eigenvalues
+from .symplectic import CovarianceState, first_where, symplectic_form
 
 #: Relative tolerance governing the regular/pseudo inverse switch.
 TOL_RANK = 1e-10
@@ -38,11 +38,7 @@ class StructuredFim:
     def __post_init__(self):
         if self.M < 2:
             raise DomainError(f"M must be >= 2, got {self.M}")
-        scale = max(1.0, abs(self.a) + self.M * abs(self.b))
-        if self.a < -1e-12 * scale or self.a + self.M * self.b < -1e-12 * scale:
-            raise DomainError(
-                f"structured Fisher matrix not PSD: a={self.a}, b={self.b}"
-            )
+        check_psd(self.a, self.b, self.M)
 
     def dense(self) -> np.ndarray:
         return self.a * np.eye(self.M) + self.b * np.ones((self.M, self.M))
@@ -104,6 +100,20 @@ class FimInverse:
         return self.alpha * np.eye(self.M) + self.beta * np.ones((self.M, self.M))
 
 
+def check_psd(a, b, m) -> None:
+    """Raise DomainError where F = a I + b J is not PSD; elementwise.
+
+    The eigenvalues a and a + M b may dip below zero by 1e-12 of the scale
+    |a| + M |b| (rounding).
+    """
+    tol = -1e-12 * np.maximum(1.0, np.abs(a) + m * np.abs(b))
+    bad = (a < tol) | (a + m * b < tol)
+    if np.count_nonzero(bad):
+        raise DomainError(
+            "structured Fisher matrix not PSD: a={}, b={}".format(*first_where(bad, a, b))
+        )
+
+
 def qfim_fsg(blocks: FsgBlocks) -> StructuredFim:
     """Structured QFIM of an isothermal FSG state under local phase shifts.
 
@@ -114,18 +124,33 @@ def qfim_fsg(blocks: FsgBlocks) -> StructuredFim:
     F12 = (gam1^2+gam2^2)/2.  Valid for isothermal states only; raises
     DomainError when the two symplectic eigenvalues differ.
     """
-    m = blocks.M
-    nu_minus, nu_plus = fsg_symplectic_eigenvalues(blocks)
-    if abs(nu_plus - nu_minus) > 1e-8 * max(1.0, abs(nu_plus)):
+    a, b = qfim_coeffs(blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M)
+    return StructuredFim(M=blocks.M, a=float(a), b=float(b))
+
+
+def qfim_coeffs(eps1, eps2, gam1, gam2, m):
+    """qfim_fsg's (a, b) for arrays of blocks, with every check of the
+    scalar path applied to each point.
+
+    Raises DomainError where the blocks are unphysical (see
+    physical_eigenvalues), not isothermal, or give a Fisher matrix that is
+    not PSD.
+    """
+    nu_minus, nu_plus = physical_eigenvalues(eps1, eps2, gam1, gam2, m)
+    # both eigenvalues are positive here
+    split = np.abs(nu_plus - nu_minus) > 1e-8 * np.maximum(1.0, nu_plus)
+    if np.count_nonzero(split):
         raise DomainError(
-            f"QFIM closed form needs an isothermal state; nu-={nu_minus}, nu+={nu_plus}"
+            "QFIM closed form needs an isothermal state; nu-={}, nu+={}".format(
+                *first_where(split, nu_minus, nu_plus)
+            )
         )
     nu = 0.5 * (nu_minus + nu_plus)
-    a, b = fisher_coeffs(blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, nu)
+    a, b = fisher_coeffs(eps1, eps2, gam1, gam2, nu)
     # guard against rounding at the perfect-privacy point
-    if -1e-12 * max(1.0, abs(a + b)) < a < 0.0:
-        a = 0.0
-    return StructuredFim(M=m, a=a, b=b)
+    a = np.where((-1e-12 * np.maximum(1.0, np.abs(a + b)) < a) & (a < 0.0), 0.0, a)
+    check_psd(a, b, m)
+    return a, b
 
 
 def fisher_coeffs(eps1, eps2, gam1, gam2, nu):
@@ -133,10 +158,12 @@ def fisher_coeffs(eps1, eps2, gam1, gam2, nu):
 
     F11 = [ (eps1^2 + eps2^2)/2 - nu^2 ] * 2 / (1 + nu^2),
     F12 = (gam1^2 + gam2^2) / (1 + nu^2), a = F11 - F12 and b = F12.
+    Squares are products: a scalar x ** 2 goes through libm pow, which
+    can differ from an array's x * x in the last bit.
     """
     scale = 2.0 / (1.0 + nu * nu)
-    f11 = (0.5 * (eps1**2 + eps2**2) - nu * nu) * scale
-    f12 = 0.5 * (gam1**2 + gam2**2) * scale
+    f11 = (0.5 * (eps1 * eps1 + eps2 * eps2) - nu * nu) * scale
+    f12 = 0.5 * (gam1 * gam1 + gam2 * gam2) * scale
     return f11 - f12, f12
 
 
@@ -145,14 +172,14 @@ def xi_from_ab(a, b, m: int):
     return m * (a + m * b)
 
 
-def privacy_from_ab(a, b, weights: WeightVector):
-    """Privacy (||w||_2^2 a + b) / (M ||w||_2^2 (a + b)) of F = a I + b J.
+def privacy_from_ab(a, b, m, n2):
+    """Privacy (n2 a + b) / (M n2 (a + b)) of F = a I + b J, n2 = ||w||_2^2.
 
     Array-aware; NaN where the trace M (a + b) is not positive.
     """
-    m, n2 = weights.M, weights.norm2_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(a + b > 0.0, (n2 * a + b) / (m * n2 * (a + b)), np.nan)
+    den = m * n2 * (a + b)
+    out = np.full(np.shape(den), np.nan)
+    return np.divide(n2 * a + b, den, out=out, where=a + b > 0.0)
 
 
 def fim_inverse(fim: StructuredFim) -> FimInverse:
@@ -218,7 +245,7 @@ def privacy(fim: StructuredFim | np.ndarray, weights: WeightVector) -> float:
         trace = fim.M * (fim.a + fim.b)
         if trace <= 1e-300:
             raise UndefinedError("privacy undefined: Fisher matrix has zero trace")
-        return float(privacy_from_ab(fim.a, fim.b, weights))
+        return float(privacy_from_ab(fim.a, fim.b, fim.M, weights.norm2_sq))
     dense = np.asarray(fim, dtype=float)
     if dense.shape != (weights.M, weights.M):
         raise DomainError("Fisher matrix and weight vector sizes differ")
@@ -314,6 +341,8 @@ __all__ = [
     "WeightSpectrum",
     "mean_weights",
     "qfim_fsg",
+    "qfim_coeffs",
+    "check_psd",
     "fisher_coeffs",
     "xi_from_ab",
     "privacy_from_ab",

@@ -5,9 +5,13 @@ the lines are echoed in the terminal summary so a plain ``pytest -v`` run
 shows the verdict for every criterion in one place.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from fsgsense.errors import ConvergenceError
 from fsgsense.homodyne import homodyne_cov, homodyne_cov_derivatives
 
 _CRITERION_LINES: dict[int, str] = {}
@@ -60,6 +64,47 @@ def dense_sufficient_stats(blocks, theta_hd, n_samples, trials, seed):
         tr_s[k] = np.sum(x * x) / n_samples
         sum_s[k] = np.sum(x.sum(axis=1) ** 2) / n_samples
     return tr_s, sum_s
+
+
+def scalar_golden_max(f, lo, hi, tol, max_iter=200):
+    """Oracle: one-bracket golden-section maximization, as a plain loop.
+
+    Returns (x, a, b, iterations) like kernels.golden_max does per bracket.
+    """
+    inv = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = lo, hi
+    x1 = b - inv * (b - a)
+    x2 = a + inv * (b - a)
+    f1, f2 = f(x1), f(x2)
+    iterations = 0
+    while b - a > tol:
+        if iterations >= max_iter:
+            raise ConvergenceError(f"stalled at width {b - a:.3e}")
+        if f1 > f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv * (b - a)
+            f2 = f(x2)
+        iterations += 1
+    return (x1 if f1 >= f2 else x2), a, b, iterations
+
+
+def same_fields(x, y) -> bool:
+    """Dataclass equality, nested dataclasses included, with NaN == NaN."""
+
+    def flat(values):
+        out = []
+        for v in values:
+            out.extend(flat(v) if isinstance(v, tuple) else [v])
+        return out
+
+    fx, fy = flat(dataclasses.astuple(x)), flat(dataclasses.astuple(y))
+    return len(fx) == len(fy) and all(
+        a == b or (a != a and b != b) for a, b in zip(fx, fy)
+    )
 
 
 @pytest.fixture

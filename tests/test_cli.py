@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import same_fields
 
 import fsgsense
-from fsgsense.cli import CSV_FIELDS, main
+from fsgsense import cli
+from fsgsense.cli import CSV_FIELDS, compute_record, main
 
 
 @pytest.fixture
@@ -219,6 +222,53 @@ def test_sweep_bad_config_exits_1(runner, tmp_path, overrides):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_batches_equal_single_rows(monkeypatch):
+    # the grid holds infeasible rows (N below M n_th), rows exactly at the
+    # floor (t_max = 0, no information, empty homodyne cells) and ordinary
+    # ones, under both objectives with homodyne on
+    m_list, nth_list, n_list = [2, 3, 7], [0.0, 0.5, 5.0], [1.0, 10.0, 35.0, 120.0]
+    objectives = ["precision", "privacy"]
+    expected = [
+        compute_record(m, nth, n, obj, True)
+        for m in m_list for nth in nth_list for n in n_list for obj in objectives
+    ]
+    assert not all(rec.feasible for rec in expected)
+    assert any(rec.feasible and rec.xi == 0.0 for rec in expected)
+    assert any(rec.theta_hd_star is not None for rec in expected)
+    for chunk in (1, 7, cli.SWEEP_CHUNK_ROWS):
+        monkeypatch.setattr(cli, "SWEEP_CHUNK_ROWS", chunk)
+        records = cli._run_sweep(m_list, nth_list, n_list, objectives, True)
+        assert len(records) == len(expected)
+        for got, want in zip(records, expected):
+            assert same_fields(got, want), (chunk, want)
+
+
+def test_numerical_failure_in_a_batch_exits_3(runner, tmp_path):
+    # the M = 2 privacy row at N = 5e3 fails a physicality check (DomainError)
+    # inside a batch of good rows
+    config, cfg = _sweep_config(
+        tmp_path,
+        M_list=[2, 3],
+        N_grid={"min": 10.0, "max": 5e3, "points": 2, "spacing": "linear"},
+        objective="privacy",
+        homodyne=True,
+    )
+    results = [
+        runner.invoke(main, ["sweep", "--config", str(config)]),
+        runner.invoke(
+            main,
+            ["state", "--M", "2", "--nth", "0", "--N", "5e3", "--objective", "privacy"],
+        ),
+    ]
+    for result in results:
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert "Traceback" not in result.output
+    assert not os.path.exists(cfg["output"])
+
+
 def test_sweep_unwritable_output_exits_4(runner, tmp_path):
     config, _ = _sweep_config(
         tmp_path,
@@ -291,6 +341,26 @@ def test_mc_bad_arguments_exit_1(runner):
             ["mc", "--M", m, "--nth", nth, "--N", n, "--samples", "10", "--trials", "10"],
         )
         _assert_one_line_error(result)
+
+
+def test_mc_estimates_stay_off_the_mirror_minimum(runner):
+    # the optimized angle sits 0.0303 from pi/2, where the likelihood is
+    # even; a +-0.3 bracket held the mirror image of the true minimum and
+    # the run read var/CRB = 2269
+    from scipy import stats
+
+    args = [
+        "mc", "--M", "5", "--nth", "1", "--N", "30",
+        "--samples", "5000", "--trials", "200", "--seed", "2",
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert abs(payload["theta_hd"] - math.pi / 2) == pytest.approx(0.0303, abs=1e-4)
+    dof = payload["trials"] - 1
+    lo, hi = stats.chi2.ppf([1e-6, 1.0 - 1e-6], dof) / dof
+    assert lo < payload["ratio"] < hi
+    assert payload["ci95"][0] <= payload["crb"] <= payload["ci95"][1]
 
 
 def test_mc_infeasible_exits_2(runner):

@@ -18,6 +18,7 @@ from fsgsense.homodyne import (
     homodyne_fim,
     mc_estimate,
     optimize_homodyne_angle,
+    optimize_homodyne_angles,
 )
 from fsgsense.metrology import WeightVector, precision
 from fsgsense.optimize import maximize_privacy
@@ -137,6 +138,29 @@ def test_angle_optimization_respects_weights():
     assert 0.0 <= hd.theta_star < np.pi
 
 
+def test_angle_is_reported_in_the_first_quadrant(rng):
+    # Gamma(pi - theta) = Gamma(theta) and F is quadratic in sin(2 theta),
+    # so theta and pi - theta are equally good; the smaller one is reported
+    states = [random_blocks(rng) for _ in range(12)] + [tmsv_blocks(1.0)]
+    batch = optimize_homodyne_angles(states)
+    for blocks, hd in zip(states, batch):
+        assert 0.0 <= hd.theta_star <= np.pi / 2
+        assert hd == optimize_homodyne_angle(blocks)
+        for theta in (hd.theta_star, float(rng.uniform(0.05, np.pi / 2 - 0.05))):
+            near, far = homodyne_fim(blocks, theta), homodyne_fim(blocks, np.pi - theta)
+            scale = max(1.0, abs(near.a) + abs(near.b))
+            assert far.a == pytest.approx(near.a, abs=1e-12 * scale)
+            assert far.b == pytest.approx(near.b, abs=1e-12 * scale)
+
+
+def test_angle_batch_leaves_degenerate_states_empty():
+    flat = FsgBlocks(M=2, eps1=1.0, eps2=1.0, gam1=0.0, gam2=0.0)
+    good = tmsv_blocks(1.0)
+    none, hd = optimize_homodyne_angles([flat, good])
+    assert none is None
+    assert hd == optimize_homodyne_angle(good)
+
+
 def test_precision_ratio_anchors():
     def ratio(M, n_th, N_tot):
         best = maximize_privacy(M, n_th, N_tot)
@@ -183,6 +207,23 @@ def test_mc_variance_tracks_the_bound():
     var = report.empirical_var
     for bound, p in zip(report.ci95, (0.975, 0.025)):
         assert bound == pytest.approx(149 * var / stats.chi2.ppf(p, 149), rel=1e-15)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_mc_bracket_stops_at_the_reflection_point(side):
+    # G(theta_hd + phi) is even about phi = pi/2 - theta_hd; with theta_hd
+    # 0.0303 from pi/2 on either side, a +-0.3 bracket would hold a mirror
+    # minimum at 2 x 0.0303 from the true one
+    blocks = maximize_privacy(5, 1.0, 30.0).blocks
+    theta = optimize_homodyne_angle(blocks).theta_star
+    assert np.pi / 2 - theta == pytest.approx(0.0303, abs=1e-4)
+    theta_hd = np.pi / 2 + side * (np.pi / 2 - theta)
+    report = mc_estimate(blocks, theta_hd, McConfig(n_samples=5000, trials=200, seed=2))
+    from scipy import stats
+
+    lo, hi = stats.chi2.ppf([1e-6, 1.0 - 1e-6], 199) / 199
+    assert lo < report.ratio < hi
+    assert report.ci95[0] <= report.crb <= report.ci95[1]
 
 
 def _sampled_stats(monkeypatch, blocks, theta_hd, mc):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import dense_homodyne_fim
+from conftest import dense_homodyne_fim, scalar_golden_max
 from scipy.optimize import minimize_scalar
 
 from fsgsense import kernels
+from fsgsense.errors import ConvergenceError
 from fsgsense.family import FsgParams, blocks_from_params, free_parameter_range, solve_s
 from fsgsense.homodyne import homodyne_cov, optimize_homodyne_angle
 from fsgsense.metrology import qfim_fsg
@@ -102,3 +103,35 @@ def test_qfim_consistency_between_kernel_scan_and_closed_form():
         f12 = 0.5 * (g1[i] ** 2 + g2[i] ** 2) * corr
         assert f11 == pytest.approx(fim.f11, rel=1e-9)
         assert f12 == pytest.approx(fim.f12, rel=1e-9)
+
+
+def test_golden_max_matches_the_scalar_loop():
+    # brackets of different widths finish after different step counts, one
+    # starts converged, and the last objective is NaN left of 0.65; each
+    # bracket must end exactly where the one-bracket loop ends
+    centers = np.array([0.3, -1.2, 2.0, 0.0, 5.0, 0.7])
+    cuts = np.array([-np.inf] * 5 + [0.65])
+    lo = np.array([0.2995, -1.5, 0.5, -5e-12, 4.9, 0.0])
+    hi = np.array([0.3004, -0.9, 2.6, 5e-12, 5.3, 1.0])
+
+    def objective(x, c, cut):
+        return np.where(x < cut, np.nan, -(x - c) * (x - c))
+
+    x, a, b, its = kernels.golden_max(
+        lambda x, rows: objective(x, centers[rows], cuts[rows]), lo, hi, 1e-10
+    )
+    assert its[3] == 0 and its.max() > its[0] > 0
+    for k in range(centers.size):
+        ref = scalar_golden_max(
+            lambda t: float(objective(t, centers[k], cuts[k])),
+            float(lo[k]), float(hi[k]), 1e-10,
+        )
+        assert (x[k], a[k], b[k], its[k]) == ref
+    assert x[5] == pytest.approx(0.7, abs=1e-9)
+
+
+def test_golden_max_gives_up_after_the_step_limit():
+    with pytest.raises(ConvergenceError):
+        kernels.golden_max(
+            lambda x, rows: -x * x, np.array([-1.0]), np.array([1.0]), -1.0
+        )

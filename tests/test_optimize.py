@@ -2,13 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from conftest import same_fields
 
-from fsgsense.errors import ConvergenceError, InfeasibleError
-from fsgsense.family import total_photons
-from fsgsense.metrology import closed_form_privacy_of_optimum
+from fsgsense.errors import ConvergenceError, DomainError, InfeasibleError
+from fsgsense.family import (
+    FsgParams,
+    blocks_from_params,
+    free_parameter_range,
+    solve_s,
+    total_photons,
+)
+from fsgsense.metrology import (
+    closed_form_privacy_of_optimum,
+    fisher_coeffs,
+    mean_weights,
+    precision,
+    privacy,
+    qfim_fsg,
+)
 from fsgsense.optimize import (
+    _checked_objectives,
     maximize_precision,
     maximize_privacy,
+    optimize_batch,
     scan_free_parameter,
 )
 
@@ -120,3 +136,61 @@ def test_deterministic_output():
     a = maximize_privacy(5, 1.0, 60.0)
     b = maximize_privacy(5, 1.0, 60.0)
     assert a == b
+
+
+def test_checked_objectives_round_like_the_scalar_path(rng):
+    # the batch compares its array objective with values from the scalar
+    # path (qfim_fsg of the state), so the two must agree to the last bit
+    rows = [(2, 0.0, 10.0), (3, 0.5, 40.0), (7, 5.0, 300.0), (4, 1.0, 1e4)]
+    for M, n_th, N in rows:
+        t_max = free_parameter_range(M, n_th, N)
+        ts = np.append(rng.uniform(-t_max, t_max, 20), 0.0)
+        ones = np.ones_like(ts)
+        xi, p = _checked_objectives(
+            M * ones, (1.0 + 2.0 * n_th) * ones, N * ones,
+            mean_weights(M).norm2_sq * ones, ts,
+        )
+        for k, t in enumerate(ts):
+            blocks = blocks_from_params(
+                FsgParams(M=M, n_th=n_th, s=solve_s(M, n_th, N, float(t)).s, t=float(t))
+            )
+            fim = qfim_fsg(blocks)
+            assert xi[k] == precision(fim, mean_weights(M))
+            assert p[k] == privacy(fim, mean_weights(M))
+
+
+def test_fisher_coeffs_round_alike_on_scalars_and_arrays():
+    # a scalar x ** 2 goes through libm pow, which misrounds a few x that an
+    # array squares exactly; fisher_coeffs must not depend on which it gets
+    x = np.random.default_rng(3).uniform(0.5, 50.0, 20_000)
+    odd = x[np.array([np.float64(v) ** 2 for v in x]) != x * x]
+    assert odd.size > 0
+    arrays = fisher_coeffs(odd, odd[::-1], 0.5 * odd, -0.5 * odd[::-1], 1.5)
+    for k, v in enumerate(odd):
+        w = odd[::-1][k]
+        scalars = fisher_coeffs(v, w, 0.5 * v, -0.5 * w, 1.5)
+        assert scalars == (arrays[0][k], arrays[1][k])
+
+
+def test_checked_objectives_reject_what_the_scalar_path_rejects():
+    # M = 2 privacy at N = 5e3 visits states whose eigenvalues round below
+    # vacuum; the batch raises the scalar path's error, also among good rows
+    with pytest.raises(DomainError, match="below vacuum"):
+        maximize_privacy(2, 0.0, 5e3)
+    with pytest.raises(DomainError, match="below vacuum"):
+        optimize_batch([(3, 0.0, 10.0), (2, 0.0, 5e3), (2, 0.0, 10.0)], "privacy")
+
+
+def test_batch_rows_do_not_depend_on_their_neighbours():
+    rows = [(2, 0.0, 1.0), (5, 1.0, 60.0), (3, 0.5, 1.5), (6, 0.0, 250.0), (2, 5.0, 10.0)]
+    for objective in ("precision", "privacy"):
+        batch = optimize_batch(rows, objective)
+        singles = [optimize_batch([row], objective)[0] for row in rows]
+        assert all(same_fields(x, y) for x, y in zip(batch, singles, strict=True))
+        # rows 2 and 4 sit at the thermal floor, where t_max = 0
+        assert [r.iterations > 0 for r in batch] == [True, True, False, True, False]
+    with pytest.raises(InfeasibleError):
+        optimize_batch(rows + [(4, 5.0, 10.0)], "privacy")
+    with pytest.raises(DomainError):
+        optimize_batch(rows, "accuracy")
+    assert optimize_batch([], "privacy") == []
