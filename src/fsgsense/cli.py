@@ -127,7 +127,7 @@ def _record(
         xi=result.xi,
         xi_ratio_to_opt=result.ratio_to_best_xi,
         privacy=result.privacy,
-        one_minus_privacy=1.0 - result.privacy,
+        one_minus_privacy=result.one_minus_privacy,
         theta_hd_star=None if hd is None else hd.theta_star,
         xi_hd=None if hd is None else hd.xi_hd,
         r_hd=None if hd is None else hd.xi_hd / result.xi,
@@ -190,6 +190,17 @@ def _write_csv(path: str, records) -> None:
         writer.writerow(CSV_FIELDS)
         for rec in records:
             writer.writerow([_fmt(getattr(rec, name)) for name in CSV_FIELDS])
+
+
+def _echo_json(payload: dict) -> None:
+    """Print payload as strict JSON: NaN (undefined) as null, like the CSV's
+    empty cell; any other non-finite value is a numerical failure (exit 3)."""
+    clean = {k: None if isinstance(v, float) and v != v else v for k, v in payload.items()}
+    try:
+        click.echo(json.dumps(clean, allow_nan=False))
+    except ValueError as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(3)
 
 
 def _finite_nonnegative(*values: float) -> bool:
@@ -286,7 +297,7 @@ def state(modes, nth, n_tot, objective):
     except _NUMERICAL as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
-    click.echo(json.dumps(dataclasses.asdict(record)))
+    _echo_json(dataclasses.asdict(record))
 
 
 @main.command()
@@ -429,7 +440,7 @@ def mc(modes, nth, n_tot, samples, trials, seed):
         "trials": trials,
         "seed": seed,
     }
-    click.echo(json.dumps(payload))
+    _echo_json(payload)
 
 
 if __name__ == "__main__":

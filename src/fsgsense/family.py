@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import DomainError, InfeasibleError
-from .symplectic import first_where, fsg_eigenvalues, fsg_symplectic_eigenvalues
+from .symplectic import fsg_symplectic_eigenvalues
 
 #: Eigenvalue slack allowed below the vacuum limit nu = 1.
 _TOL_NU = 1e-9
@@ -54,24 +55,11 @@ class FsgBlocks:
     def __post_init__(self):
         if self.M < 2:
             raise DomainError(f"M must be >= 2, got {self.M}")
-        physical_eigenvalues(self.eps1, self.eps2, self.gam1, self.gam2, self.M)
-
-
-def physical_eigenvalues(eps1, eps2, gam1, gam2, m):
-    """Symplectic eigenvalues (nu-, nu+) of FSG blocks, elementwise.
-
-    Raises DomainError where a factor is not positive or an eigenvalue
-    lies below the vacuum limit by more than _TOL_NU.
-    """
-    nu_minus, nu_plus = fsg_eigenvalues(eps1, eps2, gam1, gam2, m)
-    low = (nu_minus < 1.0 - _TOL_NU) | (nu_plus < 1.0 - _TOL_NU)
-    if np.count_nonzero(low):
-        raise DomainError(
-            "symplectic eigenvalues below vacuum: nu-={}, nu+={}".format(
-                *first_where(low, nu_minus, nu_plus)
+        nu_minus, nu_plus = fsg_symplectic_eigenvalues(self)
+        if nu_minus < 1.0 - _TOL_NU or nu_plus < 1.0 - _TOL_NU:
+            raise DomainError(
+                f"symplectic eigenvalues below vacuum: nu-={nu_minus}, nu+={nu_plus}"
             )
-        )
-    return nu_minus, nu_plus
 
 
 @dataclass(frozen=True)
@@ -133,32 +121,38 @@ def check_budget(M: int, n_th: float, N_tot: float) -> None:
         )
 
 
+def squeezed_photons(M, n_th, N_tot):
+    """N_eff = (N_tot - M n_th) / nu, clamped at 0; array-aware.
+
+    In normal modes the photon constraint nu [cosh(2s) + (M-1) cosh(2t)]
+    = 2 N_tot + M reads sinh^2 s + (M-1) sinh^2 t = N_eff, which does not
+    cancel near the floor.
+    """
+    return np.maximum(N_tot - M * n_th, 0.0) / (1.0 + 2.0 * n_th)
+
+
 def solve_s(M: int, n_th: float, N_tot: float, t: float) -> SolveSResult:
     """Solve the photon constraint for s >= 0 at fixed t.
 
-    Inverts nu [cosh(2s) + (M-1) cosh(2t)] = 2 N_tot + M.  Returns
-    feasible=False when |t| exceeds the budget (h < 1).  Raises
-    InfeasibleError when the budget is below the thermal floor M * n_th.
+    sinh^2 s = N_eff - (M-1) sinh^2 t (see squeezed_photons).  Returns
+    feasible=False when |t| exceeds the budget.  Raises InfeasibleError
+    when the budget is below the thermal floor M * n_th.
     """
     check_budget(M, n_th, N_tot)
-    nu = 1.0 + 2.0 * n_th
-    h = (2.0 * N_tot + M) / nu - (M - 1) * np.cosh(2.0 * t)
-    if h < 1.0 - 1e-12:
+    n_eff = squeezed_photons(M, n_th, N_tot)
+    if (M - 1) * np.sinh(t) ** 2 > n_eff + 5e-13:
         return SolveSResult(s=0.0, feasible=False)
-    h = max(h, 1.0)
-    return SolveSResult(s=float(0.5 * np.arccosh(h)), feasible=True)
+    return SolveSResult(s=float(kernels.family_states(t, M, n_eff)), feasible=True)
 
 
 def free_parameter_range(M: int, n_th: float, N_tot: float) -> float:
     """Largest |t| compatible with the photon budget.
 
-    cosh(2 t_max) = [(2 N_tot + M)/nu - 1] / (M - 1); the feasible set of
+    (M-1) sinh^2(t_max) = N_eff (see squeezed_photons); the feasible set of
     solve_s on the s >= 0 branch is exactly [-t_max, t_max].
     """
     check_budget(M, n_th, N_tot)
-    nu = 1.0 + 2.0 * n_th
-    h = ((2.0 * N_tot + M) / nu - 1.0) / (M - 1)
-    return float(0.5 * np.arccosh(max(h, 1.0)))
+    return float(np.arcsinh(np.sqrt(squeezed_photons(M, n_th, N_tot) / (M - 1))))
 
 
 def optimal_precision_blocks(M: int, N_tot: float) -> FsgBlocks:

@@ -15,36 +15,25 @@ MAX_GOLDEN_ITER = 200
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-def family_states(ts, modes, nu, n_tot):
-    """Isothermal-family states at free squeezing parameter t.
+def family_states(ts, modes, n_eff):
+    """Squeezing s of the isothermal-family states at free parameter t.
 
-    For each t, solves the photon constraint
-    nu * [cosh(2s) + (modes-1) cosh(2t)] = 2*n_tot + modes
-    on the s >= 0 branch and evaluates the covariance blocks.
-
-    Returns arrays (s, eps1, eps2, gam1, gam2).
+    Solves the photon constraint in normal modes,
+    sinh^2 s + (modes-1) sinh^2 t = n_eff (family.squeezed_photons), on
+    the s >= 0 branch; (modes, nu, s, t) is the state's chart.
     """
     m = np.asarray(modes, dtype=float)
-    rhs = (2.0 * n_tot + m) / nu
-    # endpoint rounding; inside [-t_max, t_max] h >= 1
-    h = np.maximum(rhs - (m - 1.0) * np.cosh(2.0 * ts), 1.0)
-    s = 0.5 * np.arccosh(h)
-    a = np.exp(2.0 * s)
-    b = np.exp(2.0 * ts)
-    e1 = nu * (a + (m - 1.0) * b) / m
-    g1 = nu * (a - b) / m
-    e2 = nu * (1.0 / a + (m - 1.0) / b) / m
-    g2 = nu * (1.0 / a - 1.0 / b) / m
-    return s, e1, e2, g1, g2
+    # endpoint rounding; inside [-t_max, t_max] the square is >= 0
+    return np.arcsinh(np.sqrt(np.maximum(n_eff - (m - 1.0) * np.sinh(ts) ** 2, 0.0)))
 
 
-def family_scan(ts, modes, nu, n_tot):
+def family_scan(ts, modes, n_eff):
     """The optimizer's coarse grid over t: family_states on a (grid x rows)
     array.  It is its own function so that perfbench's tracer times the
     grid apart from the golden-section refinement, which calls
     family_states directly.
     """
-    return family_states(ts, modes, nu, n_tot)
+    return family_states(ts, modes, n_eff)
 
 
 def golden_max(f, lo, hi, tol):
@@ -106,7 +95,7 @@ def _angle_cov(eps1, eps2, gam1, gam2, m, phi):
     c = gam1 * c2 + gam2 * s2
     g = e - c
     gp = g + m * c
-    return g, gp, 1.0 / g, -c / (g * gp)
+    return g, gp, 1.0 / g, -c / g / gp  # g * gp may overflow
 
 
 def homodyne_scan(eps1, eps2, gam1, gam2, modes, thetas):

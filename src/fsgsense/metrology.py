@@ -20,8 +20,8 @@ from .errors import (
     SingularError,
     UndefinedError,
 )
-from .family import FsgBlocks, physical_eigenvalues
-from .symplectic import CovarianceState, first_where, symplectic_form
+from .family import FsgBlocks
+from .symplectic import CovarianceState, fsg_symplectic_eigenvalues, symplectic_form
 
 #: Relative tolerance governing the regular/pseudo inverse switch.
 TOL_RANK = 1e-10
@@ -38,7 +38,11 @@ class StructuredFim:
     def __post_init__(self):
         if self.M < 2:
             raise DomainError(f"M must be >= 2, got {self.M}")
-        check_psd(self.a, self.b, self.M)
+        scale = max(1.0, abs(self.a) + self.M * abs(self.b))
+        if self.a < -1e-12 * scale or self.a + self.M * self.b < -1e-12 * scale:
+            raise DomainError(
+                f"structured Fisher matrix not PSD: a={self.a}, b={self.b}"
+            )
 
     def dense(self) -> np.ndarray:
         return self.a * np.eye(self.M) + self.b * np.ones((self.M, self.M))
@@ -100,56 +104,46 @@ class FimInverse:
         return self.alpha * np.eye(self.M) + self.beta * np.ones((self.M, self.M))
 
 
-def check_psd(a, b, m) -> None:
-    """Raise DomainError where F = a I + b J is not PSD; elementwise.
-
-    The eigenvalues a and a + M b may dip below zero by 1e-12 of the scale
-    |a| + M |b| (rounding).
-    """
-    tol = -1e-12 * np.maximum(1.0, np.abs(a) + m * np.abs(b))
-    bad = (a < tol) | (a + m * b < tol)
-    if np.count_nonzero(bad):
-        raise DomainError(
-            "structured Fisher matrix not PSD: a={}, b={}".format(*first_where(bad, a, b))
-        )
-
-
 def qfim_fsg(blocks: FsgBlocks) -> StructuredFim:
-    """Structured QFIM of an isothermal FSG state under local phase shifts.
+    """Structured QFIM of isothermal FSG blocks under local phase shifts.
 
     F11 = [ (eps1^2 + eps2^2)/2 - nu^2 ] * 2 / (1 + nu^2)
     F12 = (gam1^2 + gam2^2) / (1 + nu^2)
 
     For pure states (nu = 1) this reduces to F11 = (eps1^2+eps2^2)/2 - 1 and
     F12 = (gam1^2+gam2^2)/2.  Valid for isothermal states only; raises
-    DomainError when the two symplectic eigenvalues differ.
+    DomainError when the two symplectic eigenvalues differ.  States of the
+    (M, n_th, s, t) chart are better served by chart_fisher_coeffs, which
+    does not cancel.
     """
-    a, b = qfim_coeffs(blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M)
-    return StructuredFim(M=blocks.M, a=float(a), b=float(b))
-
-
-def qfim_coeffs(eps1, eps2, gam1, gam2, m):
-    """qfim_fsg's (a, b) for arrays of blocks, with every check of the
-    scalar path applied to each point.
-
-    Raises DomainError where the blocks are unphysical (see
-    physical_eigenvalues), not isothermal, or give a Fisher matrix that is
-    not PSD.
-    """
-    nu_minus, nu_plus = physical_eigenvalues(eps1, eps2, gam1, gam2, m)
-    # both eigenvalues are positive here
-    split = np.abs(nu_plus - nu_minus) > 1e-8 * np.maximum(1.0, nu_plus)
-    if np.count_nonzero(split):
+    m = blocks.M
+    nu_minus, nu_plus = fsg_symplectic_eigenvalues(blocks)
+    if abs(nu_plus - nu_minus) > 1e-8 * max(1.0, abs(nu_plus)):
         raise DomainError(
-            "QFIM closed form needs an isothermal state; nu-={}, nu+={}".format(
-                *first_where(split, nu_minus, nu_plus)
-            )
+            f"QFIM closed form needs an isothermal state; nu-={nu_minus}, nu+={nu_plus}"
         )
     nu = 0.5 * (nu_minus + nu_plus)
-    a, b = fisher_coeffs(eps1, eps2, gam1, gam2, nu)
+    a, b = fisher_coeffs(blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, nu)
     # guard against rounding at the perfect-privacy point
-    a = np.where((-1e-12 * np.maximum(1.0, np.abs(a + b)) < a) & (a < 0.0), 0.0, a)
-    check_psd(a, b, m)
+    if -1e-12 * max(1.0, abs(a + b)) < a < 0.0:
+        a = 0.0
+    return StructuredFim(M=m, a=float(a), b=float(b))
+
+
+def chart_fisher_coeffs(m, nu, s, t):
+    """QFIM coefficients (a, b), F = a I + b J, of the chart state (M, nu, s, t).
+
+    A uniform phase shift commutes with the passive change to normal
+    modes: one common mode squeezed by s and M - 1 modes squeezed by t,
+    each with thermal factor nu.  With k = 2 / (1 + nu^-2),
+    a = 2k [2 sinh^2(s+t) + (M-2) sinh^2 2t] / M and
+    b = 4k sinh^2(s-t) cosh(2s+2t) / M^2.
+    Every term is non-negative, so nothing cancels, and k cannot overflow.
+    Array-aware.
+    """
+    k = 2.0 / (1.0 + (1.0 / nu) ** 2)
+    a = 2.0 * k * (2.0 * np.sinh(s + t) ** 2 + (m - 2.0) * np.sinh(2.0 * t) ** 2) / m
+    b = 4.0 * k * np.sinh(s - t) ** 2 * np.cosh(2.0 * (s + t)) / (m * m)
     return a, b
 
 
@@ -159,7 +153,8 @@ def fisher_coeffs(eps1, eps2, gam1, gam2, nu):
     F11 = [ (eps1^2 + eps2^2)/2 - nu^2 ] * 2 / (1 + nu^2),
     F12 = (gam1^2 + gam2^2) / (1 + nu^2), a = F11 - F12 and b = F12.
     Squares are products: a scalar x ** 2 goes through libm pow, which
-    can differ from an array's x * x in the last bit.
+    can differ from an array's x * x in the last bit.  On the chart this
+    cancels large numbers; see chart_fisher_coeffs.
     """
     scale = 2.0 / (1.0 + nu * nu)
     f11 = (0.5 * (eps1 * eps1 + eps2 * eps2) - nu * nu) * scale
@@ -180,6 +175,19 @@ def privacy_from_ab(a, b, m, n2):
     den = m * n2 * (a + b)
     out = np.full(np.shape(den), np.nan)
     return np.divide(n2 * a + b, den, out=out, where=a + b > 0.0)
+
+
+def one_minus_privacy_from_ab(a, b, m, n2):
+    """1 - P = [(M-1) n2 a + (M n2 - 1) b] / [M n2 (a + b)] of F = a I + b J.
+
+    For a, b >= 0 every term is non-negative (M n2 >= 1 by Cauchy-Schwarz;
+    it is clamped there against rounding), so 1 - P keeps its relative
+    accuracy as P -> 1.  Array-aware; NaN where a + b is not positive.
+    """
+    num = (m - 1.0) * n2 * a + np.maximum(m * n2 - 1.0, 0.0) * b
+    den = m * n2 * (a + b)
+    out = np.full(np.shape(den), np.nan)
+    return np.divide(num, den, out=out, where=a + b > 0.0)
 
 
 def fim_inverse(fim: StructuredFim) -> FimInverse:
@@ -341,11 +349,11 @@ __all__ = [
     "WeightSpectrum",
     "mean_weights",
     "qfim_fsg",
-    "qfim_coeffs",
-    "check_psd",
+    "chart_fisher_coeffs",
     "fisher_coeffs",
     "xi_from_ab",
     "privacy_from_ab",
+    "one_minus_privacy_from_ab",
     "fim_inverse",
     "precision",
     "privacy",

@@ -3,7 +3,10 @@
 Both objectives (estimation precision and privacy) are smooth scalar
 functions of t on [-t_max, t_max]; a coarse uniform grid guards against
 multimodality and a golden-section refinement polishes the best bracket.
-Rows (M, n_th, N_tot) sharing an objective are optimized as one batch: one
+Every state is handled in its chart (M, nu, s, t): s solves the photon
+constraint, and the QFIM comes from metrology.chart_fisher_coeffs, so the
+search, the reported values and the scan share one closed form.  Rows
+(M, n_th, N_tot) sharing an objective are optimized as one batch: one
 (grid x rows) scan, then golden-section on every row in lockstep.  The
 single-row functions are batches of one.
 """
@@ -16,33 +19,36 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericalError
 from .family import (
     FsgBlocks,
     FsgParams,
     blocks_from_params,
     free_parameter_range,
     solve_s,
+    squeezed_photons,
 )
 from .metrology import (
     StructuredFim,
-    fisher_coeffs,
+    chart_fisher_coeffs,
     mean_weights,
-    precision,
+    one_minus_privacy_from_ab,
     privacy_from_ab,
-    qfim_coeffs,
-    qfim_fsg,
     xi_from_ab,
 )
 
 GRID_POINTS = 2001
 BRACKET_TOL = 1e-10
 TIE_TOL = 1e-12
-# arccosh(h) near h = 1 amplifies rounding to ~sqrt(eps) in s, which shows
-# up in the secondary criterion at the 1e-9..1e-8 scale; ties in the
-# tie-break value itself are therefore resolved at a much looser scale
+# s = arcsinh(sqrt(x)) near x = 0 (t near +-t_max) amplifies rounding to
+# ~sqrt(eps) in s, which shows up in the secondary criterion at the
+# 1e-9..1e-8 scale; ties in the tie-break value itself are therefore
+# resolved at a much looser scale
 SEC_TIE_TOL = 1e-6
 OBJECTIVES = ("precision", "privacy")
+# every factor of the chart closed forms is at most about (2 N_eff + M)^2,
+# so it stays finite while N_eff <= MAX_CHART_N (family.squeezed_photons)
+MAX_CHART_N = 1e150
 
 
 @dataclass(frozen=True)
@@ -51,9 +57,10 @@ class OptResult:
     t_star: float
     s_star: float
     blocks: FsgBlocks
-    fim: StructuredFim  # the QFIM of blocks
+    fim: StructuredFim  # the QFIM of the state, from its chart
     xi: float
     privacy: float
+    one_minus_privacy: float
     ratio_to_best_xi: float
     iterations: int
 
@@ -65,20 +72,12 @@ class ScanPoint:
     privacy: float
 
 
-def _xi_privacy_arrays(m, nu, n_tot, n2, ts):
-    """Unchecked (xi, privacy) on a grid of t; rows broadcast on the last axis."""
-    _, e1, e2, g1, g2 = kernels.family_scan(ts, m, nu, n_tot)
-    a, b = fisher_coeffs(e1, e2, g1, g2, nu)
-    return xi_from_ab(a, b, m), privacy_from_ab(a, b, m, n2)
-
-
-def _checked_objectives(m, nu, n_tot, n2, t):
-    """(xi, privacy) at one t per row, through every check of FsgBlocks and
-    qfim_fsg; xi is 0 where a + M b <= 0."""
-    _, e1, e2, g1, g2 = kernels.family_states(t, m, nu, n_tot)
-    a, b = qfim_coeffs(e1, e2, g1, g2, m)
-    xi = np.where(a + m * b > 0.0, xi_from_ab(a, b, m), 0.0)
-    return xi, privacy_from_ab(a, b, m, n2)
+def _chart_values(m, nu, n2, s, t):
+    """QFIM (a, b), xi and 1 - P of the chart states (M, nu, s, t); rows
+    broadcast on the last axis.  1 - P keeps its relative accuracy as
+    P -> 1, so the privacy search minimizes it."""
+    a, b = chart_fisher_coeffs(m, nu, s, t)
+    return a, b, xi_from_ab(a, b, m), one_minus_privacy_from_ab(a, b, m, n2)
 
 
 def _tie_break(obj, sec, ts):
@@ -99,8 +98,7 @@ def optimize_batch(
     """Optimize each (M, n_th, N_tot) row under one objective, as one batch.
 
     Raises InfeasibleError if a row's budget is below its thermal floor,
-    and the error of the first failed check if a state the search visits
-    is unphysical.
+    and NumericalError if its Fisher information would overflow.
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}")
@@ -110,20 +108,32 @@ def optimize_batch(
     t_max = np.array([free_parameter_range(*row) for row in rows])
     m, n_th, n_tot = (np.array(col, dtype=float) for col in zip(*rows))
     nu = 1.0 + 2.0 * n_th
-    weights = [mean_weights(int(row[0])) for row in rows]
-    n2 = np.array([w.norm2_sq for w in weights])
+    n_eff = squeezed_photons(m, n_th, n_tot)
+    huge = np.flatnonzero(~(n_eff <= MAX_CHART_N))
+    if huge.size:
+        _, nth, N = rows[huge[0]]
+        raise NumericalError(
+            f"photon budget N_tot={N!r} at n_th={nth!r} is too large: "
+            "the Fisher information overflows"
+        )
+    n2 = np.array([mean_weights(int(row[0])).norm2_sq for row in rows])
 
     def evaluate(t, idx):
-        return _checked_objectives(m[idx], nu[idx], n_tot[idx], n2[idx], t)
+        """(xi, -(1 - P)) at one t per row, both to be maximized."""
+        s = kernels.family_states(t, m[idx], n_eff[idx])
+        _, _, xi, omp = _chart_values(m[idx], nu[idx], n2[idx], s, t)
+        return xi, -omp
 
     t_star = np.zeros(len(rows))
     iterations = np.zeros(len(rows), dtype=int)
     scan = np.flatnonzero(t_max > 0.0)
     if scan.size:
         ts = np.linspace(-t_max[scan], t_max[scan], GRID_POINTS)
-        xi_arr, p_arr = _xi_privacy_arrays(m[scan], nu[scan], n_tot[scan], n2[scan], ts)
-        obj_arr = xi_arr if key == 0 else np.nan_to_num(p_arr, nan=-np.inf)
-        idx = _tie_break(obj_arr, p_arr if key == 0 else xi_arr, ts)
+        s_grid = kernels.family_scan(ts, m[scan], n_eff[scan])
+        _, _, xi_arr, omp_arr = _chart_values(m[scan], nu[scan], n2[scan], s_grid, ts)
+        q_arr = -omp_arr
+        obj_arr = xi_arr if key == 0 else np.nan_to_num(q_arr, nan=-np.inf)
+        idx = _tie_break(obj_arr, q_arr if key == 0 else xi_arr, ts)
         cols = np.arange(scan.size)
         lo = ts[np.maximum(idx - 1, 0), cols]
         hi = ts[np.minimum(idx + 1, GRID_POINTS - 1), cols]
@@ -141,31 +151,30 @@ def optimize_batch(
             snap = zero >= here - TIE_TOL * np.maximum(1.0, np.abs(here))
             t_star[near_zero[snap]] = 0.0
 
+    s_star = np.array([solve_s(*row, t).s for row, t in zip(rows, t_star.tolist())])
+    a, b, xi, omp = _chart_values(m, nu, n2, s_star, t_star)
+    p = privacy_from_ab(a, b, m, n2)
     # xi on the photon constraint is convex in cosh(2t), so the precision
     # optimum sits at t = 0 (tied with +-t_max when M = 2)
-    best_xi = evaluate(np.zeros(len(rows)), np.arange(len(rows)))[0] if key else None
-    results = []
-    for i, (M, nth, N) in enumerate(rows):
-        # the reported state and values come from the scalar path, which
-        # rounds exactly like the arrays above
-        t = float(t_star[i])
-        s = solve_s(M, nth, N, t).s
-        blocks = blocks_from_params(FsgParams(M=M, n_th=nth, s=s, t=t))
-        fim = qfim_fsg(blocks)
-        xi = precision(fim, weights[i]) if fim.a + M * fim.b > 0.0 else 0.0
-        best = xi if key == 0 else float(best_xi[i])
-        results.append(OptResult(
+    best_xi = xi if key == 0 else evaluate(np.zeros(len(rows)), np.arange(len(rows)))[0]
+    ratio = np.divide(xi, best_xi, out=np.ones(len(rows)), where=best_xi > 0.0)
+    return [
+        OptResult(
             objective=objective,
-            t_star=t,
-            s_star=s,
-            blocks=blocks,
-            fim=fim,
-            xi=xi,
-            privacy=float(privacy_from_ab(fim.a, fim.b, M, n2[i])),
-            ratio_to_best_xi=xi / best if best > 0.0 else 1.0,
+            t_star=float(t_star[i]),
+            s_star=float(s_star[i]),
+            blocks=blocks_from_params(
+                FsgParams(M=M, n_th=nth, s=float(s_star[i]), t=float(t_star[i]))
+            ),
+            fim=StructuredFim(M=M, a=float(a[i]), b=float(b[i])),
+            xi=float(xi[i]),
+            privacy=float(p[i]),
+            one_minus_privacy=float(omp[i]),
+            ratio_to_best_xi=float(ratio[i]),
             iterations=int(iterations[i]),
-        ))
-    return results
+        )
+        for i, (M, nth, _) in enumerate(rows)
+    ]
 
 
 def maximize_precision(M: int, n_th: float, N_tot: float) -> OptResult:
@@ -190,9 +199,10 @@ def scan_free_parameter(
         raise ConvergenceError(f"grid_points must be >= 3, got {grid_points}")
     t_max = free_parameter_range(M, n_th, N_tot)
     ts = np.linspace(-t_max, t_max, grid_points)
-    xi_arr, p_arr = _xi_privacy_arrays(
-        M, 1.0 + 2.0 * n_th, N_tot, mean_weights(M).norm2_sq, ts
-    )
+    nu, n2 = 1.0 + 2.0 * n_th, mean_weights(M).norm2_sq
+    s = kernels.family_scan(ts, M, squeezed_photons(M, n_th, N_tot))
+    a, b, xi_arr, _ = _chart_values(M, nu, n2, s, ts)
+    p_arr = privacy_from_ab(a, b, M, n2)
     return [
         ScanPoint(t=float(t), xi=float(x), privacy=float(p))
         for t, x, p in zip(ts, xi_arr, p_arr)

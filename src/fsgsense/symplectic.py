@@ -148,31 +148,15 @@ def fsg_symplectic_eigenvalues(blocks: "FsgBlocks") -> tuple[float, float]:
     nu_minus = sqrt((eps1-gam1)(eps2-gam2)) with multiplicity M-1,
     nu_plus = sqrt((eps1+(M-1)gam1)(eps2+(M-1)gam2)) non-degenerate.
     """
-    nu_minus, nu_plus = fsg_eigenvalues(
-        blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M
-    )
-    return float(nu_minus), float(nu_plus)
-
-
-def fsg_eigenvalues(eps1, eps2, gam1, gam2, m):
-    """fsg_symplectic_eigenvalues of block arrays, elementwise.
-
-    Raises DomainError if any of the four factors is not positive.
-    """
-    f1 = eps1 - gam1
-    f2 = eps2 - gam2
-    f3 = eps1 + (m - 1) * gam1
-    f4 = eps2 + (m - 1) * gam2
-    bad = (f1 <= 0.0) | (f2 <= 0.0) | (f3 <= 0.0) | (f4 <= 0.0)
-    if np.count_nonzero(bad):  # the cheapest "any" for scalars and arrays
+    m = blocks.M
+    f1 = blocks.eps1 - blocks.gam1
+    f2 = blocks.eps2 - blocks.gam2
+    f3 = blocks.eps1 + (m - 1) * blocks.gam1
+    f4 = blocks.eps2 + (m - 1) * blocks.gam2
+    if min(f1, f2, f3, f4) <= 0.0:
         raise DomainError(
             "symplectic eigenvalue factors must be positive, got "
-            "({:.3e}, {:.3e}, {:.3e}, {:.3e})".format(*first_where(bad, f1, f2, f3, f4))
+            f"({f1:.3e}, {f2:.3e}, {f3:.3e}, {f4:.3e})"
         )
-    return np.sqrt(f1 * f2), np.sqrt(f3 * f4)
-
-
-def first_where(mask, *values) -> list[float]:
-    """The values at the first point where mask holds, for error messages."""
-    k = int(np.argmax(np.ravel(mask)))
-    return [float(np.ravel(np.broadcast_to(v, np.shape(mask)))[k]) for v in values]
+    # a product of square roots does not overflow
+    return float(np.sqrt(f1) * np.sqrt(f2)), float(np.sqrt(f3) * np.sqrt(f4))

@@ -35,17 +35,31 @@ def _sweep_config(tmp_path, **overrides):
     return path, cfg
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _python(*args):
+    """Run the interpreter on this checkout's fsgsense; stdout and stderr
+    are captured apart, as a shell user sees them."""
     src = str(Path(fsgsense.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_import_leaves_scipy_unloaded():
     code = (
         "import sys, fsgsense.cli; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = _python("-c", code)
+    assert out.returncode == 0
     assert out.stdout.strip() == "[]"
 
 
@@ -64,6 +78,49 @@ def test_state_json_output(runner):
     assert payload["privacy"] == pytest.approx(0.8, rel=1e-8)
     assert payload["xi_hd"] is not None
     assert set(payload) == set(CSV_FIELDS)
+
+
+def test_state_prints_null_for_undefined_privacy(runner):
+    # no squeezing, no information: P = 0/0 is undefined
+    result = runner.invoke(main, ["state", "--M", "3", "--nth", "0", "--N", "0"])
+    assert result.exit_code == 0
+    payload = _strict_json(result.output)
+    assert payload["xi"] == 0.0
+    assert payload["privacy"] is None and payload["one_minus_privacy"] is None
+
+
+def test_state_at_huge_thermal_occupation_is_finite():
+    # F(M, n_th, N; t) = k(nu) F(M, 0, N_eff; t) with k -> 2 and N_eff = 4 here,
+    # so xi = 2 * 8 N_eff (N_eff + 1) = 320
+    out = _python(
+        "-m", "fsgsense.cli", "state", "--M", "2", "--nth", "1e300", "--N", "1e301"
+    )
+    assert out.returncode == 0 and out.stderr == ""
+    payload = _strict_json(out.stdout)
+    assert payload["xi"] == pytest.approx(320.0, rel=1e-12)
+    assert payload["privacy"] == pytest.approx(1.0 - 1.0 / 11.0, rel=1e-12)
+    numbers = [v for v in payload.values() if isinstance(v, float)]
+    assert len(numbers) == 17 and all(math.isfinite(v) for v in numbers)
+
+
+def test_state_privacy_at_a_large_thermal_budget_exits_0(runner):
+    # the block route lost isothermality here ("QFIM closed form needs an
+    # isothermal state", exit 3); the chart route has nothing to lose
+    result = runner.invoke(
+        main,
+        ["state", "--M", "2", "--nth", "0.5", "--N", "3.27e5", "--objective", "privacy"],
+    )
+    assert result.exit_code == 0, result.output
+    payload = _strict_json(result.output)
+    assert 0.0 <= payload["one_minus_privacy"] < 1e-11
+
+
+def test_state_overflowing_information_exits_3_with_one_line():
+    # xi ~ 8 N^2 overflows a double
+    out = _python("-m", "fsgsense.cli", "state", "--M", "3", "--nth", "0", "--N", "1e300")
+    assert out.returncode == 3 and out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
 
 
 def test_state_infeasible_exits_2(runner):
@@ -244,12 +301,12 @@ def test_sweep_batches_equal_single_rows(monkeypatch):
 
 
 def test_numerical_failure_in_a_batch_exits_3(runner, tmp_path):
-    # the M = 2 privacy row at N = 5e3 fails a physicality check (DomainError)
-    # inside a batch of good rows
+    # the M = 2 privacy row at N = 1e5 reports pure blocks whose symplectic
+    # eigenvalues round below vacuum (DomainError), inside a batch of good rows
     config, cfg = _sweep_config(
         tmp_path,
         M_list=[2, 3],
-        N_grid={"min": 10.0, "max": 5e3, "points": 2, "spacing": "linear"},
+        N_grid={"min": 10.0, "max": 1e5, "points": 2, "spacing": "linear"},
         objective="privacy",
         homodyne=True,
     )
@@ -257,7 +314,7 @@ def test_numerical_failure_in_a_batch_exits_3(runner, tmp_path):
         runner.invoke(main, ["sweep", "--config", str(config)]),
         runner.invoke(
             main,
-            ["state", "--M", "2", "--nth", "0", "--N", "5e3", "--objective", "privacy"],
+            ["state", "--M", "2", "--nth", "0", "--N", "1e5", "--objective", "privacy"],
         ),
     ]
     for result in results:
@@ -323,7 +380,7 @@ def test_mc_json_and_determinism(runner):
     ]
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output
-    payload = json.loads(first.output)
+    payload = _strict_json(first.output)
     assert payload["xi_hd"] == pytest.approx(6.125, rel=1e-6)
     assert 0.5 < payload["ratio"] < 2.0
     second = runner.invoke(main, args)

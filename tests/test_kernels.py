@@ -5,9 +5,15 @@ from scipy.optimize import minimize_scalar
 
 from fsgsense import kernels
 from fsgsense.errors import ConvergenceError
-from fsgsense.family import FsgParams, blocks_from_params, free_parameter_range, solve_s
+from fsgsense.family import (
+    FsgParams,
+    blocks_from_params,
+    free_parameter_range,
+    solve_s,
+    squeezed_photons,
+)
 from fsgsense.homodyne import homodyne_cov, optimize_homodyne_angle
-from fsgsense.metrology import qfim_fsg
+from fsgsense.metrology import chart_fisher_coeffs, qfim_fsg
 
 
 @pytest.mark.parametrize(
@@ -17,15 +23,12 @@ def test_family_scan_matches_scalar_path(m, n_th, n_tot):
     nu = 1.0 + 2.0 * n_th
     t_max = free_parameter_range(m, n_th, n_tot)
     ts = np.linspace(-t_max, t_max, 41)
-    s_arr, e1, e2, g1, g2 = kernels.family_scan(ts, m, nu, n_tot)
+    s_arr = kernels.family_scan(ts, m, squeezed_photons(m, n_th, n_tot))
     for i, t in enumerate(ts):
-        sol = solve_s(m, n_th, n_tot, float(t))
-        blocks = blocks_from_params(FsgParams(M=m, n_th=n_th, s=sol.s, t=float(t)))
-        assert s_arr[i] == pytest.approx(sol.s, abs=1e-12)
-        assert e1[i] == pytest.approx(blocks.eps1, rel=1e-12)
-        assert e2[i] == pytest.approx(blocks.eps2, rel=1e-12)
-        assert g1[i] == pytest.approx(blocks.gam1, rel=1e-12, abs=1e-12)
-        assert g2[i] == pytest.approx(blocks.gam2, rel=1e-12, abs=1e-12)
+        assert s_arr[i] == pytest.approx(solve_s(m, n_th, n_tot, float(t)).s, abs=1e-12)
+    # the photon constraint in its covariance form
+    photons = nu * (np.cosh(2.0 * s_arr) + (m - 1) * np.cosh(2.0 * ts))
+    assert photons == pytest.approx(np.full(ts.size, 2.0 * n_tot + m), rel=1e-12)
 
 
 def test_homodyne_scan_matches_dense_fim():
@@ -90,19 +93,18 @@ def test_mle_trials_matches_dense_likelihood():
 
 
 def test_qfim_consistency_between_kernel_scan_and_closed_form():
-    # the optimizer's vectorized Fisher coefficients must match qfim_fsg
+    # the optimizer's chart coefficients on the scanned states must match
+    # qfim_fsg of the blocks built from the same chart coordinates
     m, n_th, n_tot = 5, 1.0, 60.0
     nu = 1.0 + 2.0 * n_th
     ts = np.linspace(-0.5, 0.5, 21)
-    _, e1, e2, g1, g2 = kernels.family_scan(ts, m, nu, n_tot)
-    corr = 2.0 / (1.0 + nu * nu)
+    s_arr = kernels.family_scan(ts, m, squeezed_photons(m, n_th, n_tot))
+    a, b = chart_fisher_coeffs(m, nu, s_arr, ts)
     for i, t in enumerate(ts):
         sol = solve_s(m, n_th, n_tot, float(t))
         fim = qfim_fsg(blocks_from_params(FsgParams(M=m, n_th=n_th, s=sol.s, t=float(t))))
-        f11 = (0.5 * (e1[i] ** 2 + e2[i] ** 2) - nu * nu) * corr
-        f12 = 0.5 * (g1[i] ** 2 + g2[i] ** 2) * corr
-        assert f11 == pytest.approx(fim.f11, rel=1e-9)
-        assert f12 == pytest.approx(fim.f12, rel=1e-9)
+        assert a[i] + b[i] == pytest.approx(fim.f11, rel=1e-9)
+        assert b[i] == pytest.approx(fim.f12, rel=1e-9)
 
 
 def test_golden_max_matches_the_scalar_loop():

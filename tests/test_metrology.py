@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fsgsense import kernels
 from fsgsense.errors import (
     DomainError,
     OutOfRangeError,
@@ -10,20 +15,26 @@ from fsgsense.errors import (
 from fsgsense.family import (
     FsgParams,
     blocks_from_params,
+    free_parameter_range,
     optimal_precision_blocks,
+    solve_s,
+    squeezed_photons,
     tmsv_blocks,
 )
 from fsgsense.metrology import (
     StructuredFim,
     WeightVector,
+    chart_fisher_coeffs,
     closed_form_privacy_of_optimum,
     fim_inverse,
     mean_weights,
+    one_minus_privacy_from_ab,
     precision,
     privacy,
     qfim_fsg,
     qfim_fsg_numeric,
     weight_matrix_spectrum,
+    xi_from_ab,
 )
 from fsgsense.symplectic import assemble_covariance
 
@@ -91,6 +102,64 @@ def test_qfim_matches_numeric_oracle(rng):
             oracle = qfim_fsg_numeric(assemble_covariance(blocks))
             scale = max(1.0, float(np.max(np.abs(oracle))))
             assert np.allclose(fim.dense(), oracle, rtol=0.0, atol=1e-6 * scale)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_chart_closed_form_matches_numeric_oracle_on_the_figure_grid(m):
+    # the figures' (n_th, N) grid, at t = -t_max/2, 0 and t_max/3
+    for n_th in (0.0, 1.0, 5.0):
+        nu = 1.0 + 2.0 * n_th
+        for n_tot in np.geomspace(1.0, 1000.0, 25):
+            if n_tot < m * n_th:
+                continue
+            t_max = free_parameter_range(m, n_th, n_tot)
+            for t in (-0.5 * t_max, 0.0, t_max / 3.0):
+                s = solve_s(m, n_th, n_tot, t).s
+                a, b = chart_fisher_coeffs(m, nu, s, t)
+                state = assemble_covariance(blocks_from_params(FsgParams(m, n_th, s, t)))
+                # mixed states need a finer cutoff: their kernel is full rank
+                oracle = qfim_fsg_numeric(state, rcond=1e-10 if n_th == 0.0 else 1e-14)
+                scale = max(1.0, float(np.max(np.abs(oracle))))
+                err = np.max(np.abs(StructuredFim(m, a, b).dense() - oracle))
+                assert err <= 1e-6 * scale, (m, n_th, n_tot, t)
+
+
+@given(
+    m=st.integers(min_value=2, max_value=1000),
+    n_th=st.floats(min_value=0.0, max_value=10.0),
+    n_tot=st.floats(min_value=0.0, max_value=1e8),
+    u=st.floats(min_value=-1.0, max_value=1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_chart_closed_form_is_finite_bounded_and_factorizes(m, n_th, n_tot, u):
+    assume(n_tot >= m * n_th)
+    nu = 1.0 + 2.0 * n_th
+    t = u * free_parameter_range(m, n_th, n_tot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = kernels.family_states(t, m, squeezed_photons(m, n_th, n_tot))
+        a, b = chart_fisher_coeffs(m, nu, s, t)
+        xi = xi_from_ab(a, b, m)
+        omp = one_minus_privacy_from_ab(a, b, m, mean_weights(m).norm2_sq)
+        a0, b0 = chart_fisher_coeffs(m, 1.0, s, t)
+    assert np.isfinite([a, b, xi]).all() and a >= 0.0 and b >= 0.0
+    # values below ~1e-300 pass through subnormal numbers, which carry
+    # fewer digits; they get an absolute slack of that size
+    tiny = 1e-300
+    assert xi <= 8.0 * n_tot * (n_tot + 1.0) * (1.0 + 1e-12) + tiny
+    if a + b > 0.0:
+        assert 0.0 <= omp <= 1.0
+    else:
+        assert np.isnan(omp)
+    # F(M, n_th, N; t) = k(nu) F(M, 0, N_eff; t): s solves both the thermal
+    # constraint at N and the pure one at N_eff = ((2N + M)/nu - M)/2
+    n_eff = 0.5 * ((2.0 * n_tot + m) / nu - m)
+    k = 2.0 * nu * nu / (1.0 + nu * nu)
+    cosh_sum = np.cosh(2.0 * s) + (m - 1) * np.cosh(2.0 * t)
+    assert nu * cosh_sum == pytest.approx(2.0 * n_tot + m, rel=1e-12)
+    assert cosh_sum == pytest.approx(2.0 * n_eff + m, rel=1e-12)
+    scale = 1e-12 * (a + m * b) + tiny
+    assert abs(a - k * a0) <= scale and abs(b - k * b0) <= scale
 
 
 def test_qfim_rejects_non_isothermal():

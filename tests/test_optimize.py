@@ -1,27 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import same_fields
 
 from fsgsense.errors import ConvergenceError, DomainError, InfeasibleError
-from fsgsense.family import (
-    FsgParams,
-    blocks_from_params,
-    free_parameter_range,
-    solve_s,
-    total_photons,
-)
-from fsgsense.metrology import (
-    closed_form_privacy_of_optimum,
-    fisher_coeffs,
-    mean_weights,
-    precision,
-    privacy,
-    qfim_fsg,
-)
+from fsgsense.family import total_photons
+from fsgsense.metrology import closed_form_privacy_of_optimum, fisher_coeffs
 from fsgsense.optimize import (
-    _checked_objectives,
     maximize_precision,
     maximize_privacy,
     optimize_batch,
@@ -138,27 +125,6 @@ def test_deterministic_output():
     assert a == b
 
 
-def test_checked_objectives_round_like_the_scalar_path(rng):
-    # the batch compares its array objective with values from the scalar
-    # path (qfim_fsg of the state), so the two must agree to the last bit
-    rows = [(2, 0.0, 10.0), (3, 0.5, 40.0), (7, 5.0, 300.0), (4, 1.0, 1e4)]
-    for M, n_th, N in rows:
-        t_max = free_parameter_range(M, n_th, N)
-        ts = np.append(rng.uniform(-t_max, t_max, 20), 0.0)
-        ones = np.ones_like(ts)
-        xi, p = _checked_objectives(
-            M * ones, (1.0 + 2.0 * n_th) * ones, N * ones,
-            mean_weights(M).norm2_sq * ones, ts,
-        )
-        for k, t in enumerate(ts):
-            blocks = blocks_from_params(
-                FsgParams(M=M, n_th=n_th, s=solve_s(M, n_th, N, float(t)).s, t=float(t))
-            )
-            fim = qfim_fsg(blocks)
-            assert xi[k] == precision(fim, mean_weights(M))
-            assert p[k] == privacy(fim, mean_weights(M))
-
-
 def test_fisher_coeffs_round_alike_on_scalars_and_arrays():
     # a scalar x ** 2 goes through libm pow, which misrounds a few x that an
     # array squares exactly; fisher_coeffs must not depend on which it gets
@@ -172,13 +138,60 @@ def test_fisher_coeffs_round_alike_on_scalars_and_arrays():
         assert scalars == (arrays[0][k], arrays[1][k])
 
 
-def test_checked_objectives_reject_what_the_scalar_path_rejects():
-    # M = 2 privacy at N = 5e3 visits states whose eigenvalues round below
-    # vacuum; the batch raises the scalar path's error, also among good rows
-    with pytest.raises(DomainError, match="below vacuum"):
-        maximize_privacy(2, 0.0, 5e3)
-    with pytest.raises(DomainError, match="below vacuum"):
-        optimize_batch([(3, 0.0, 10.0), (2, 0.0, 5e3), (2, 0.0, 10.0)], "privacy")
+@pytest.mark.parametrize(
+    "objective, m, n_th, n_tot",
+    [
+        ("privacy", 2, 0.0, 2.5e3),
+        ("privacy", 2, 0.0, 5e3),
+        ("privacy", 3, 0.0, 1e5),
+        ("privacy", 4, 0.0, 6e4),
+        ("privacy", 10, 1.0, 1e6),
+        ("precision", 4, 0.0, 1e7),
+        ("precision", 1000, 0.0, 1e8),
+    ],
+)
+def test_large_budgets_optimize_without_domain_errors(objective, m, n_th, n_tot):
+    # the block route raised DomainError ("below vacuum", "isothermal") at
+    # these budgets; the chart route evaluates them without cancellation
+    result = optimize_batch([(m, n_th, n_tot)], objective)[0]
+    assert math.isfinite(result.xi) and 0.0 < result.xi <= 8.0 * n_tot * (n_tot + 1.0)
+    assert 0.0 <= result.one_minus_privacy <= 1.0
+    assert result.privacy == pytest.approx(1.0 - result.one_minus_privacy, abs=1e-15)
+    if objective == "precision":
+        assert result.xi == pytest.approx(8.0 * n_tot * (n_tot + 1.0), rel=1e-12)
+    if m == 2:
+        assert result.one_minus_privacy < 1e-12
+
+
+def _exact_one_minus_privacy(m, s, t):
+    """1 - P of the pure chart state (M, 1, s, t), at 50 digits, through the
+    covariance blocks and qfim_fsg's block formula (mean weights)."""
+    with mpmath.workdps(50):
+        m, s, t = mpmath.mpf(m), mpmath.mpf(s), mpmath.mpf(t)
+        x, y = mpmath.exp(2 * s), mpmath.exp(2 * t)
+        eps1, gam1 = (x + (m - 1) * y) / m, (x - y) / m
+        eps2, gam2 = (1 / x + (m - 1) / y) / m, (1 / x - 1 / y) / m
+        f12 = (gam1**2 + gam2**2) / 2
+        a = (eps1**2 + eps2**2) / 2 - 1 - f12
+        return 1 - (a / m + f12) / (a + f12)
+
+
+@pytest.mark.parametrize("m, n_tot", [(3, 1e3), (4, 1e4), (6, 5e4)])
+def test_one_minus_privacy_matches_fifty_digits(m, n_tot):
+    # 1.0 - privacy lost up to 3.3e-10 relative here; the closed form keeps
+    # 1 - P to a few ulp, at the optimum and against the true minimum
+    result = maximize_privacy(m, 0.0, n_tot)
+    exact = _exact_one_minus_privacy(m, result.s_star, result.t_star)
+    assert float(abs(result.one_minus_privacy - exact) / exact) <= 1e-14
+    with mpmath.workdps(50):
+
+        def one_minus_p(t):
+            s = mpmath.asinh(mpmath.sqrt(n_tot - (m - 1) * mpmath.sinh(t) ** 2))
+            return _exact_one_minus_privacy(m, s, t)
+
+        t_min = mpmath.findroot(lambda t: mpmath.diff(one_minus_p, t), result.t_star)
+        best = one_minus_p(t_min)
+    assert float(abs(result.one_minus_privacy - best) / best) <= 1e-14
 
 
 def test_batch_rows_do_not_depend_on_their_neighbours():
