@@ -58,8 +58,8 @@ DEFAULT_NTH_LIST = [0.0, 1.0, 5.0]
 DEFAULT_N_GRID = {"min": 1.0, "max": 1000.0, "points": 25, "spacing": "log"}
 CONFIG_KEYS = {"M_list", "n_th_list", "N_grid", "objective", "homodyne", "output"}
 N_GRID_KEYS = {"min", "max", "points", "spacing"}
-# rows optimized as one batch: each (grid x rows) temporary of the t scan
-# is 2001 x 64 doubles, about 1 MB
+# rows optimized as one batch: each (grid x rows) temporary of the homodyne
+# angle scan is 1001 x 64 doubles, about 0.5 MB
 SWEEP_CHUNK_ROWS = 64
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .errors import ConvergenceError, DegenerateError, DomainError, NumericalError
 from .family import FsgBlocks
-from .metrology import StructuredFim, WeightVector, mean_weights, precision
+from .metrology import StructuredFim, xi_from_ab
 
 ANGLE_GRID_POINTS = 1001
 ANGLE_TOL = 1e-10
@@ -144,28 +144,21 @@ def homodyne_fim(blocks: FsgBlocks, theta_hd: float) -> StructuredFim:
     return StructuredFim(M=blocks.M, a=a, b=b)
 
 
-def optimize_homodyne_angles(
-    blocks: Sequence[FsgBlocks], weights: Sequence[WeightVector] | None = None
-) -> list[HomodyneOpt | None]:
+def optimize_homodyne_angles(blocks: Sequence[FsgBlocks]) -> list[HomodyneOpt | None]:
     """Best common homodyne angle of each state, as one batch.
 
-    Maximizes Tr(W F) = ||w||_2^2 a + b, which for uniform weights is the
-    precision xi_hd / M^2 itself: one (angle grid x states) scan on
-    [0, pi), then golden-section on every state in lockstep.  The angle is
-    reported in [0, pi/2]: Gamma(pi - theta) = Gamma(theta) and F is
-    quadratic in sin(2 theta), so theta and pi - theta are equally good.
-    weights=None means uniform weights.  A state whose homodyne Fisher
-    matrix vanishes at every grid angle gets None.
+    Maximizes the mean-phase precision xi_hd / M^2 = a / M + b: one
+    (angle grid x states) scan on [0, pi), then golden-section on every
+    state in lockstep.  The angle is reported in [0, pi/2]:
+    Gamma(pi - theta) = Gamma(theta) and F is quadratic in sin(2 theta),
+    so theta and pi - theta are equally good.  A state whose homodyne
+    Fisher matrix vanishes at every grid angle gets None.
     """
-    if weights is None:
-        weights = [mean_weights(b.M) for b in blocks]
-    if any(w.M != b.M for w, b in zip(weights, blocks, strict=True)):
-        raise DomainError("weight vector size does not match the state")
     eps1, eps2, gam1, gam2, m = (
         np.array([getattr(b, name) for b in blocks], dtype=float)
         for name in ("eps1", "eps2", "gam1", "gam2", "M")
     )
-    n2 = np.array([w.norm2_sq for w in weights])
+    n2 = 1.0 / m
     thetas = np.linspace(0.0, np.pi, ANGLE_GRID_POINTS, endpoint=False)[:, None]
     a_arr, b_arr = kernels.homodyne_scan(eps1, eps2, gam1, gam2, m, thetas)
     flat = np.max(np.abs(a_arr) + m * np.abs(b_arr), axis=0) <= 1e-14
@@ -191,21 +184,18 @@ def optimize_homodyne_angles(
     theta_star = np.where(grid_better, thetas[idx, 0], refined)
     for i, theta in zip(live, np.minimum(theta_star, np.pi - theta_star)):
         fim = homodyne_fim(blocks[i], float(theta))
-        out[i] = HomodyneOpt(
-            theta_star=float(theta), fim=fim, xi_hd=float(precision(fim, weights[i]))
-        )
+        xi_hd = float(xi_from_ab(fim.a, fim.b, fim.M))
+        out[i] = HomodyneOpt(theta_star=float(theta), fim=fim, xi_hd=xi_hd)
     return out
 
 
-def optimize_homodyne_angle(
-    blocks: FsgBlocks, weights: WeightVector | None = None
-) -> HomodyneOpt:
+def optimize_homodyne_angle(blocks: FsgBlocks) -> HomodyneOpt:
     """Best common homodyne angle in [0, pi/2]; see optimize_homodyne_angles.
 
     Raises DegenerateError when the homodyne Fisher matrix vanishes at
     every angle.
     """
-    (best,) = optimize_homodyne_angles([blocks], None if weights is None else [weights])
+    (best,) = optimize_homodyne_angles([blocks])
     if best is None:
         raise DegenerateError("homodyne Fisher matrix vanishes for every angle")
     return best
@@ -257,7 +247,7 @@ def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
 
     empirical_var = float(np.var(theta_hat, ddof=1))
     fim = homodyne_fim(blocks, theta_hd)
-    xi_hd = float(m * (fim.a + m * fim.b))
+    xi_hd = float(xi_from_ab(fim.a, fim.b, m))
     if xi_hd <= 0.0:
         raise DegenerateError("homodyne Fisher information vanishes at this angle")
     crb = 1.0 / (n * xi_hd)

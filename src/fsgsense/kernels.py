@@ -27,15 +27,6 @@ def family_states(ts, modes, n_eff):
     return np.arcsinh(np.sqrt(np.maximum(n_eff - (m - 1.0) * np.sinh(ts) ** 2, 0.0)))
 
 
-def family_scan(ts, modes, n_eff):
-    """The optimizer's coarse grid over t: family_states on a (grid x rows)
-    array.  It is its own function so that perfbench's tracer times the
-    grid apart from the golden-section refinement, which calls
-    family_states directly.
-    """
-    return family_states(ts, modes, n_eff)
-
-
 def golden_max(f, lo, hi, tol):
     """Golden-section maximization on independent brackets, in lockstep.
 

@@ -1,14 +1,15 @@
 """One-dimensional constrained optimization over the free parameter t.
 
 Both objectives (estimation precision and privacy) are smooth scalar
-functions of t on [-t_max, t_max]; a coarse uniform grid guards against
-multimodality and a golden-section refinement polishes the best bracket.
-Every state is handled in its chart (M, nu, s, t): s solves the photon
-constraint, and the QFIM comes from metrology.chart_fisher_coeffs, so the
-search, the reported values and the scan share one closed form.  Rows
-(M, n_th, N_tot) sharing an objective are optimized as one batch: one
-(grid x rows) scan, then golden-section on every row in lockstep.  The
-single-row functions are batches of one.
+functions of t on [-t_max, t_max].  The algebra fixes the precision
+optimum at t = 0 and confines the privacy optimum to [-t_max, 0], where a
+golden-section search finds it (see optimize_batch).  Every state is
+handled in its chart (M, nu, s, t): s solves the photon constraint, and
+the QFIM comes from metrology.chart_fisher_coeffs, so the search, the
+reported values and the scan share one closed form.  Rows (M, n_th, N_tot)
+sharing an objective are optimized as one batch, with golden-section on
+every privacy row in lockstep.  The single-row functions are batches of
+one.
 """
 
 from __future__ import annotations
@@ -25,26 +26,17 @@ from .family import (
     FsgParams,
     blocks_from_params,
     free_parameter_range,
-    solve_s,
     squeezed_photons,
 )
 from .metrology import (
     StructuredFim,
     chart_fisher_coeffs,
-    mean_weights,
     one_minus_privacy_from_ab,
     privacy_from_ab,
     xi_from_ab,
 )
 
-GRID_POINTS = 2001
 BRACKET_TOL = 1e-10
-TIE_TOL = 1e-12
-# s = arcsinh(sqrt(x)) near x = 0 (t near +-t_max) amplifies rounding to
-# ~sqrt(eps) in s, which shows up in the secondary criterion at the
-# 1e-9..1e-8 scale; ties in the tie-break value itself are therefore
-# resolved at a much looser scale
-SEC_TIE_TOL = 1e-6
 OBJECTIVES = ("precision", "privacy")
 # every factor of the chart closed forms is at most about (2 N_eff + M)^2,
 # so it stays finite while N_eff <= MAX_CHART_N (family.squeezed_photons)
@@ -80,22 +72,29 @@ def _chart_values(m, nu, n2, s, t):
     return a, b, xi_from_ab(a, b, m), one_minus_privacy_from_ab(a, b, m, n2)
 
 
-def _tie_break(obj, sec, ts):
-    """Grid index per row: best objective, then best secondary criterion,
-    then least |t|; grid along axis 0, rows along axis 1."""
-    best = obj.max(axis=0)
-    near = obj >= best - TIE_TOL * np.maximum(1.0, np.abs(best))
-    sec_near = np.where(near, np.nan_to_num(sec, nan=-np.inf), -np.inf)
-    best_sec = sec_near.max(axis=0)
-    near &= sec_near >= best_sec - SEC_TIE_TOL * np.maximum(1.0, np.abs(best_sec))
-    # objective and tie-break both degenerate: pick the least-squeezed state
-    return np.argmin(np.where(near, np.abs(ts), np.inf), axis=0)
-
-
 def optimize_batch(
     rows: Sequence[tuple[int, float, float]], objective: str
 ) -> list[OptResult]:
     """Optimize each (M, n_th, N_tot) row under one objective, as one batch.
+
+    With mean weights (n2 = 1/M) and y = cosh 2t on the photon constraint,
+    two rules decide the optimum:
+
+    - Precision: xi/2k = x^2 - 1 + (M-1)(y^2 - 1) with x = cosh 2s =
+      C - (M-1) y, C = (2 N_tot + M)/nu, a convex quadratic in y on
+      [1, y(t_max)], so the optimum is an endpoint.  With u = C - M >= 0,
+      xi(t=0) - xi(+-t_max) is proportional to u^2 (1 - 1/(M-1)) >= 0:
+      t = 0 wins (tied with +-t_max for M = 2, where the least |t| is
+      taken), with no search.
+    - Privacy: 1 - P = (M-1) a / [M (a + b)] falls as a falls or b grows.
+      At equal |t| the squeezing s >= 0 is the same, and for t >= 0
+      a(-t) <= a(t), because sinh^2(s-t) <= sinh^2(s+t), while
+      b(-t) - b(t) is proportional to sinh^2(s+t) - sinh^2(s-t) >= 0, by
+      cosh 2x = 1 + 2 sinh^2 x.  So 1 - P(-t) <= 1 - P(t), and the
+      half-interval [-t_max, 0] holds the global optimum; one lockstep
+      golden-section search minimizes 1 - P there.  That 1 - P has a
+      single local minimum on the half-interval is observed, not proven;
+      the tests check the result against a dense full-interval grid.
 
     Raises InfeasibleError if a row's budget is below its thermal floor,
     and NumericalError if its Fisher information would overflow.
@@ -104,7 +103,6 @@ def optimize_batch(
         raise DomainError(f"unknown objective {objective!r}")
     if not rows:
         return []
-    key = OBJECTIVES.index(objective)
     t_max = np.array([free_parameter_range(*row) for row in rows])
     m, n_th, n_tot = (np.array(col, dtype=float) for col in zip(*rows))
     nu = 1.0 + 2.0 * n_th
@@ -116,47 +114,26 @@ def optimize_batch(
             f"photon budget N_tot={N!r} at n_th={nth!r} is too large: "
             "the Fisher information overflows"
         )
-    n2 = np.array([mean_weights(int(row[0])).norm2_sq for row in rows])
-
-    def evaluate(t, idx):
-        """(xi, -(1 - P)) at one t per row, both to be maximized."""
-        s = kernels.family_states(t, m[idx], n_eff[idx])
-        _, _, xi, omp = _chart_values(m[idx], nu[idx], n2[idx], s, t)
-        return xi, -omp
+    n2 = 1.0 / m
 
     t_star = np.zeros(len(rows))
     iterations = np.zeros(len(rows), dtype=int)
-    scan = np.flatnonzero(t_max > 0.0)
-    if scan.size:
-        ts = np.linspace(-t_max[scan], t_max[scan], GRID_POINTS)
-        s_grid = kernels.family_scan(ts, m[scan], n_eff[scan])
-        _, _, xi_arr, omp_arr = _chart_values(m[scan], nu[scan], n2[scan], s_grid, ts)
-        q_arr = -omp_arr
-        obj_arr = xi_arr if key == 0 else np.nan_to_num(q_arr, nan=-np.inf)
-        idx = _tie_break(obj_arr, q_arr if key == 0 else xi_arr, ts)
-        cols = np.arange(scan.size)
-        lo = ts[np.maximum(idx - 1, 0), cols]
-        hi = ts[np.minimum(idx + 1, GRID_POINTS - 1), cols]
-        refined, _, _, iterations[scan] = kernels.golden_max(
-            lambda t, r: evaluate(t, scan[r])[key], lo, hi, BRACKET_TOL
-        )
-        # the refined point may sit a hair off the true optimum; keep the
-        # better of grid and refined values under the objective
-        grid_better = obj_arr[idx, cols] > evaluate(refined, scan)[key]
-        t_star[scan] = np.where(grid_better, ts[idx, cols], refined)
-        near_zero = scan[(t_star[scan] != 0.0) & (np.abs(t_star[scan]) < 1e-6)]
-        if near_zero.size:
-            here = evaluate(t_star[near_zero], near_zero)[key]
-            zero = evaluate(np.zeros(near_zero.size), near_zero)[key]
-            snap = zero >= here - TIE_TOL * np.maximum(1.0, np.abs(here))
-            t_star[near_zero[snap]] = 0.0
+    search = np.flatnonzero((t_max > 0.0) & (objective == "privacy"))
+    if search.size:
 
-    s_star = np.array([solve_s(*row, t).s for row, t in zip(rows, t_star.tolist())])
+        def neg_omp(t, r):
+            idx = search[r]
+            s = kernels.family_states(t, m[idx], n_eff[idx])
+            return -_chart_values(m[idx], nu[idx], n2[idx], s, t)[3]
+
+        t_star[search], _, _, iterations[search] = kernels.golden_max(
+            neg_omp, -t_max[search], np.zeros(search.size), BRACKET_TOL
+        )
+    s_star = kernels.family_states(t_star, m, n_eff)
     a, b, xi, omp = _chart_values(m, nu, n2, s_star, t_star)
     p = privacy_from_ab(a, b, m, n2)
-    # xi on the photon constraint is convex in cosh(2t), so the precision
-    # optimum sits at t = 0 (tied with +-t_max when M = 2)
-    best_xi = xi if key == 0 else evaluate(np.zeros(len(rows)), np.arange(len(rows)))[0]
+    # the precision optimum is the t = 0 state
+    best_xi = _chart_values(m, nu, n2, kernels.family_states(0.0, m, n_eff), 0.0)[2]
     ratio = np.divide(xi, best_xi, out=np.ones(len(rows)), where=best_xi > 0.0)
     return [
         OptResult(
@@ -178,7 +155,8 @@ def optimize_batch(
 
 
 def maximize_precision(M: int, n_th: float, N_tot: float) -> OptResult:
-    """FSG state maximizing estimation precision of the mean phase."""
+    """FSG state maximizing estimation precision of the mean phase: the
+    t = 0 state (see optimize_batch)."""
     return optimize_batch([(M, n_th, N_tot)], "precision")[0]
 
 
@@ -199,8 +177,8 @@ def scan_free_parameter(
         raise ConvergenceError(f"grid_points must be >= 3, got {grid_points}")
     t_max = free_parameter_range(M, n_th, N_tot)
     ts = np.linspace(-t_max, t_max, grid_points)
-    nu, n2 = 1.0 + 2.0 * n_th, mean_weights(M).norm2_sq
-    s = kernels.family_scan(ts, M, squeezed_photons(M, n_th, N_tot))
+    nu, n2 = 1.0 + 2.0 * n_th, 1.0 / M
+    s = kernels.family_states(ts, M, squeezed_photons(M, n_th, N_tot))
     a, b, xi_arr, _ = _chart_values(M, nu, n2, s, ts)
     p_arr = privacy_from_ab(a, b, M, n2)
     return [

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -35,14 +36,16 @@ def _sweep_config(tmp_path, **overrides):
     return path, cfg
 
 
-def _python(*args):
+def _python(*args, **kwargs):
     """Run the interpreter on this checkout's fsgsense; stdout and stderr
-    are captured apart, as a shell user sees them."""
+    are captured apart, as a shell user sees them.  kwargs go to
+    subprocess.run."""
     src = str(Path(fsgsense.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
+        **kwargs,
     )
 
 
@@ -105,14 +108,32 @@ def test_state_at_huge_thermal_occupation_is_finite():
 
 def test_state_privacy_at_a_large_thermal_budget_exits_0(runner):
     # the block route lost isothermality here ("QFIM closed form needs an
-    # isothermal state", exit 3); the chart route has nothing to lose
+    # isothermal state", exit 3); the chart route has nothing to lose.  The
+    # optimum t = -s has P = 1, which a tolerance of 1e-12 on P would miss
     result = runner.invoke(
         main,
         ["state", "--M", "2", "--nth", "0.5", "--N", "3.27e5", "--objective", "privacy"],
     )
     assert result.exit_code == 0, result.output
     payload = _strict_json(result.output)
-    assert 0.0 <= payload["one_minus_privacy"] < 1e-11
+    assert 0.0 <= payload["one_minus_privacy"] < 1e-20
+
+
+@pytest.mark.parametrize(
+    "command", [["state"], ["mc", "--samples", "1000", "--trials", "50"]]
+)
+def test_a_billion_nodes_run_in_bounded_memory(command):
+    # nothing may allocate an M-vector: one of doubles would take 7.45 GiB
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    args = [*command, "--M", "1000000000", "--nth", "0", "--N", "10"]
+    out = _python("-m", "fsgsense.cli", *args, preexec_fn=limit_address_space)
+    assert out.returncode == 0, out.stderr
+    payload = _strict_json(out.stdout)
+    assert math.isfinite(payload["xi_hd"]) and payload["xi_hd"] > 0.0
+    if command == ["state"]:
+        assert math.isfinite(payload["xi"]) and payload["xi"] > 0.0
 
 
 def test_state_overflowing_information_exits_3_with_one_line():
@@ -301,12 +322,12 @@ def test_sweep_batches_equal_single_rows(monkeypatch):
 
 
 def test_numerical_failure_in_a_batch_exits_3(runner, tmp_path):
-    # the M = 2 privacy row at N = 1e5 reports pure blocks whose symplectic
+    # the M = 1000 privacy row at N = 1e8 reports pure blocks whose symplectic
     # eigenvalues round below vacuum (DomainError), inside a batch of good rows
     config, cfg = _sweep_config(
         tmp_path,
-        M_list=[2, 3],
-        N_grid={"min": 10.0, "max": 1e5, "points": 2, "spacing": "linear"},
+        M_list=[2, 1000],
+        N_grid={"min": 10.0, "max": 1e8, "points": 2, "spacing": "linear"},
         objective="privacy",
         homodyne=True,
     )
@@ -314,7 +335,7 @@ def test_numerical_failure_in_a_batch_exits_3(runner, tmp_path):
         runner.invoke(main, ["sweep", "--config", str(config)]),
         runner.invoke(
             main,
-            ["state", "--M", "2", "--nth", "0", "--N", "1e5", "--objective", "privacy"],
+            ["state", "--M", "1000", "--nth", "0", "--N", "1e8", "--objective", "privacy"],
         ),
     ]
     for result in results:

@@ -7,7 +7,6 @@ from fsgsense.family import (
     FsgBlocks,
     FsgParams,
     blocks_from_params,
-    optimal_precision_blocks,
     tmsv_blocks,
 )
 from fsgsense import kernels
@@ -20,7 +19,6 @@ from fsgsense.homodyne import (
     optimize_homodyne_angle,
     optimize_homodyne_angles,
 )
-from fsgsense.metrology import WeightVector, precision
 from fsgsense.optimize import maximize_privacy
 from fsgsense.symplectic import assemble_covariance, phase_rotation, physicality_check
 
@@ -128,14 +126,6 @@ def test_angle_optimization_degenerate_on_vacuum_like_state():
     flat = FsgBlocks(M=2, eps1=1.0, eps2=1.0, gam1=0.0, gam2=0.0)
     with pytest.raises(DegenerateError):
         optimize_homodyne_angle(flat)
-
-
-def test_angle_optimization_respects_weights():
-    blocks = optimal_precision_blocks(3, 5.0)
-    skew = WeightVector(np.array([0.5, 0.3, 0.2]))
-    hd = optimize_homodyne_angle(blocks, skew)
-    assert hd.xi_hd <= precision(homodyne_fim(blocks, hd.theta_star), skew) + 1e-9
-    assert 0.0 <= hd.theta_star < np.pi
 
 
 def test_angle_is_reported_in_the_first_quadrant(rng):

@@ -23,7 +23,7 @@ def test_family_scan_matches_scalar_path(m, n_th, n_tot):
     nu = 1.0 + 2.0 * n_th
     t_max = free_parameter_range(m, n_th, n_tot)
     ts = np.linspace(-t_max, t_max, 41)
-    s_arr = kernels.family_scan(ts, m, squeezed_photons(m, n_th, n_tot))
+    s_arr = kernels.family_states(ts, m, squeezed_photons(m, n_th, n_tot))
     for i, t in enumerate(ts):
         assert s_arr[i] == pytest.approx(solve_s(m, n_th, n_tot, float(t)).s, abs=1e-12)
     # the photon constraint in its covariance form
@@ -93,12 +93,12 @@ def test_mle_trials_matches_dense_likelihood():
 
 
 def test_qfim_consistency_between_kernel_scan_and_closed_form():
-    # the optimizer's chart coefficients on the scanned states must match
+    # the optimizer's chart coefficients on the family states must match
     # qfim_fsg of the blocks built from the same chart coordinates
     m, n_th, n_tot = 5, 1.0, 60.0
     nu = 1.0 + 2.0 * n_th
     ts = np.linspace(-0.5, 0.5, 21)
-    s_arr = kernels.family_scan(ts, m, squeezed_photons(m, n_th, n_tot))
+    s_arr = kernels.family_states(ts, m, squeezed_photons(m, n_th, n_tot))
     a, b = chart_fisher_coeffs(m, nu, s_arr, ts)
     for i, t in enumerate(ts):
         sol = solve_s(m, n_th, n_tot, float(t))

@@ -4,10 +4,18 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import same_fields
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fsgsense import kernels
 from fsgsense.errors import ConvergenceError, DomainError, InfeasibleError
-from fsgsense.family import total_photons
-from fsgsense.metrology import closed_form_privacy_of_optimum, fisher_coeffs
+from fsgsense.family import free_parameter_range, squeezed_photons, total_photons
+from fsgsense.metrology import (
+    chart_fisher_coeffs,
+    closed_form_privacy_of_optimum,
+    fisher_coeffs,
+    one_minus_privacy_from_ab,
+)
 from fsgsense.optimize import (
     maximize_precision,
     maximize_privacy,
@@ -200,10 +208,67 @@ def test_batch_rows_do_not_depend_on_their_neighbours():
         batch = optimize_batch(rows, objective)
         singles = [optimize_batch([row], objective)[0] for row in rows]
         assert all(same_fields(x, y) for x, y in zip(batch, singles, strict=True))
-        # rows 2 and 4 sit at the thermal floor, where t_max = 0
-        assert [r.iterations > 0 for r in batch] == [True, True, False, True, False]
+        # precision never searches; privacy searches every row but 2 and 4,
+        # which sit at the thermal floor, where t_max = 0
+        searched = [objective == "privacy" and t_max > 0 for t_max in (1, 1, 0, 1, 0)]
+        assert [r.iterations > 0 for r in batch] == searched
     with pytest.raises(InfeasibleError):
         optimize_batch(rows + [(4, 5.0, 10.0)], "privacy")
     with pytest.raises(DomainError):
         optimize_batch(rows, "accuracy")
     assert optimize_batch([], "privacy") == []
+
+
+def test_precision_is_the_t0_state_without_search():
+    # xi/2k is convex in cosh 2t and xi(0) >= xi(+-t_max), so no search
+    rows = [(2, 0.0, 1.0), (2, 0.5, 40.0), (3, 1.0, 50.0), (6, 5.0, 31.0), (50, 0.0, 1e3)]
+    for (m, n_th, n_tot), result in zip(rows, optimize_batch(rows, "precision")):
+        assert result.t_star == 0.0 and result.iterations == 0
+        assert result.s_star == float(
+            kernels.family_states(0.0, m, squeezed_photons(m, n_th, n_tot))
+        )
+    # xi is flat here: a grid search lands anywhere within ~1e-4 of 0
+    assert maximize_precision(4, 0.0, 1e7).t_star == 0.0
+
+
+def _one_minus_privacy_at(m, n_th, n_tot, t):
+    """1 - P (mean weights) of the family state at t, from its chart."""
+    s = kernels.family_states(t, m, squeezed_photons(m, n_th, n_tot))
+    a, b = chart_fisher_coeffs(m, 1.0 + 2.0 * n_th, s, t)
+    return one_minus_privacy_from_ab(a, b, m, 1.0 / m)
+
+
+@given(
+    m=st.integers(min_value=2, max_value=1000),
+    n_th=st.floats(min_value=0.0, max_value=10.0),
+    excess=st.floats(min_value=1e-3, max_value=9.9e6),
+    u=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_reflection_lowers_one_minus_privacy(m, n_th, excess, u):
+    # at equal |t| the squeezing s is the same, a(-t) <= a(t) and
+    # b(-t) >= b(t), so the privacy optimum lies in [-t_max, 0]
+    n_tot = m * n_th + excess
+    t = u * free_parameter_range(m, n_th, n_tot)
+    left = _one_minus_privacy_at(m, n_th, n_tot, -t)
+    right = _one_minus_privacy_at(m, n_th, n_tot, t)
+    # a few ulp of rounding in sinh and arcsinh
+    assert left <= right * (1.0 + 1e-13)
+
+
+@given(
+    m=st.integers(min_value=2, max_value=1000),
+    n_th=st.floats(min_value=0.0, max_value=10.0),
+    excess=st.floats(min_value=1e-3, max_value=2e3),
+)
+@settings(max_examples=25, deadline=None)
+def test_privacy_search_matches_a_dense_full_interval_grid(m, n_th, excess):
+    # the half-interval search against the brute-force oracle on
+    # [-t_max, t_max]: unimodality on [-t_max, 0] is observed, not proven.
+    # Pure M = 2 optima from about N = 2.5e3 report blocks that round below
+    # vacuum, an open defect of the report that
+    # test_numerical_failure_in_a_batch_exits_3 pins
+    n_tot = m * n_th + excess
+    result = maximize_privacy(m, n_th, n_tot)
+    brute = max(p.privacy for p in scan_free_parameter(m, n_th, n_tot, 20001))
+    assert brute <= result.privacy + 1e-12
