@@ -24,6 +24,10 @@ ANGLE_GRID_POINTS = 1001
 ANGLE_TOL = 1e-10
 MLE_BRACKET = 0.3
 _MLE_GRID = 121
+_CHI2_MAX_ITER = 20
+# Stirling series of ln Gamma(a + 1) - [(a + 1/2) ln a - a + ln(2 pi)/2],
+# the coefficients of a^-1, a^-3, ..., a^-13
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
 @dataclass(frozen=True)
@@ -221,6 +225,9 @@ def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
     n tr S = l+ X + l- Y  and  n 1^T S 1 = M l+ X.
     One generator seeded with `seed` draws every X, then every Y, so the
     cost is O(trials) and results are bitwise reproducible.
+
+    The 95% interval of the variance is the chi-square one,
+    ci95 = dof var / chi2_dof(0.975 ... 0.025), with dof = trials - 1.
     """
     m = blocks.M
     n = mc.n_samples
@@ -251,13 +258,10 @@ def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
     if xi_hd <= 0.0:
         raise DegenerateError("homodyne Fisher information vanishes at this angle")
     crb = 1.0 / (n * xi_hd)
-    from scipy.special import gammaincinv  # only here: scipy is slow to import
-
-    # the chi2(dof) quantile at p is 2 gammaincinv(dof / 2, p)
     dof = mc.trials - 1
     ci95 = (
-        float(dof * empirical_var / (2.0 * gammaincinv(dof / 2, 0.975))),
-        float(dof * empirical_var / (2.0 * gammaincinv(dof / 2, 0.025))),
+        dof * empirical_var / _chi2_quantile(0.975, dof),
+        dof * empirical_var / _chi2_quantile(0.025, dof),
     )
     return McReport(
         empirical_var=empirical_var,
@@ -265,4 +269,99 @@ def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
         ratio=empirical_var / crb,
         ci95=ci95,
         xi_hd=xi_hd,
+    )
+
+
+def _incomplete_gamma(a: float, x: float) -> tuple[float, float, float]:
+    """(P, Q, D): the regularized incomplete gamma P(a, x), Q = 1 - P, and
+    D = x^a e^-x / Gamma(a + 1), so that x dP/dx = a D.
+
+    P by its series for x < a + 1, Q by the Lentz continued fraction
+    otherwise (Numerical Recipes, section 6.2).  For a >= 15, D is
+    exp(-a phi(x/a) - r(a)) / sqrt(2 pi a), with phi(l) = l - 1 - ln l and
+    r the Stirling remainder, which avoids the cancellation in
+    a ln x - x - lgamma(a + 1); phi near l = 1 comes from the series
+    ln l = 2 atanh w, w = (l - 1)/(l + 1).
+    """
+    if a < 15.0:
+        d = math.pow(x, a) * math.exp(-x) / math.gamma(a + 1.0)
+    else:
+        lam = x / a
+        w = (lam - 1.0) / (lam + 1.0)
+        if abs(w) < 0.25:
+            # phi = 2 w^2 / (1 - w) - 2 (w^3/3 + w^5/5 + ...)
+            w2 = w * w
+            term, odd, k = w * w2, 0.0, 3
+            while abs(term) > 1e-17 * w2:
+                odd += term / k
+                term *= w2
+                k += 2
+            phi = 2.0 * w2 / (1.0 - w) - 2.0 * odd
+        else:
+            phi = lam - 1.0 - math.log(lam)
+        rem, power, inv2 = 0.0, 1.0 / a, 1.0 / (a * a)
+        for c in _STIRLING:
+            rem += c * power
+            power *= inv2
+        d = math.exp(-(a * phi + rem)) / math.sqrt(2.0 * math.pi * a)
+    if x < a + 1.0:
+        term = total = 1.0
+        n = a
+        while term > 1e-17 * total:
+            n += 1.0
+            term *= x / n
+            total += term
+        p = d * total
+        return p, 1.0 - p, d
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, e = 1.0 / tiny, 1.0 / b
+    h, delta, i = e, 0.0, 0
+    while abs(delta - 1.0) > 2.3e-16:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        e = an * e + b
+        e = 1.0 / (e if abs(e) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        delta = e * c
+        h *= delta
+    q = a * d * h
+    return 1.0 - q, q, d
+
+
+def _chi2_quantile(p: float, dof: float) -> float:
+    """The p quantile of the chi-square distribution with dof degrees of
+    freedom, 2 x with P(dof/2, x) = p.
+
+    Newton in ln x on the smaller tail, P for p < 0.5 and Q otherwise, from
+    the Wilson-Hilferty start; both ln P and ln Q are concave in ln x, so
+    the iteration cannot overshoot away from the root.  Raises
+    ConvergenceError after _CHI2_MAX_ITER steps.
+    """
+    a = 0.5 * dof
+    lower = p < 0.5
+    target = p if lower else 1.0 - p
+    # normal quantile, Abramowitz-Stegun 26.2.23 (error < 4.5e-4)
+    t = math.sqrt(-2.0 * math.log(target))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    h = 2.0 / (9.0 * dof)
+    base = 1.0 + (-z if lower else z) * math.sqrt(h) - h
+    x = a * base**3 if base > 0.0 else (p * math.gamma(a + 1.0)) ** (1.0 / a)
+    for _ in range(_CHI2_MAX_ITER):
+        lo, hi, d = _incomplete_gamma(a, x)
+        tail = lo if lower else hi
+        if not (tail > 0.0 and d > 0.0):
+            break
+        # d ln tail / d ln x = +-a D / tail
+        step = math.log(target / tail) * tail / (a * d)
+        step = max(-1.0, min(1.0, step if lower else -step))
+        x *= math.exp(step)
+        if abs(step) < 1e-11:
+            return 2.0 * x
+    raise ConvergenceError(
+        f"chi-square quantile did not converge (p={p}, dof={dof})"
     )

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -56,14 +57,55 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+MC_SMALL = ["mc", "--M", "2", "--nth", "0", "--N", "1", "--samples", "2000", "--trials", "50"]
+_RUN_CLI = "from fsgsense.cli import main; main({argv!r}, prog_name='fsgsense')"
+_BLOCK_SCIPY = (
+    "import sys\n"
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'scipy':\n"
+    "            raise ImportError('scipy is blocked')\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = (
-        "import sys, fsgsense.cli; "
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        "import sys, fsgsense.cli\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        "try:\n"
+        f"    {_RUN_CLI.format(argv=MC_SMALL)}\n"
+        "finally:\n"
+        "    print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
     out = _python("-c", code)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "[]"
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == lines[-1] == "[]"
+
+
+def test_mc_runs_with_scipy_blocked():
+    plain = _python("-c", _RUN_CLI.format(argv=MC_SMALL))
+    blocked = _python("-c", _BLOCK_SCIPY + _RUN_CLI.format(argv=MC_SMALL))
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    assert _strict_json(blocked.stdout) == _strict_json(plain.stdout)
+
+
+def test_no_module_imports_scipy():
+    # also catches imports inside functions, on paths no test runs
+    package = Path(fsgsense.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 # ------------------------------------------------------------------- state

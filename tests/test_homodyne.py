@@ -1,8 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 from conftest import dense_homodyne_fim, dense_sufficient_stats
 
-from fsgsense.errors import DegenerateError, DomainError, NumericalError
+from fsgsense import homodyne
+from fsgsense.errors import ConvergenceError, DegenerateError, DomainError, NumericalError
 from fsgsense.family import (
     FsgBlocks,
     FsgParams,
@@ -197,6 +199,31 @@ def test_mc_variance_tracks_the_bound():
     var = report.empirical_var
     for bound, p in zip(report.ci95, (0.975, 0.025)):
         assert bound == pytest.approx(149 * var / stats.chi2.ppf(p, 149), rel=1e-15)
+
+
+_CHI2_DOFS = sorted(
+    set(range(1, 201)) | {int(d) for d in np.round(np.logspace(np.log10(200), 6, 40))}
+)
+
+
+def test_chi2_quantile_matches_forty_digits():
+    with mpmath.workdps(40):
+        for dof in _CHI2_DOFS:
+            a = mpmath.mpf(dof) / 2
+            for p in (0.025, 0.975):
+                q = homodyne._chi2_quantile(p, dof)
+                exact = mpmath.findroot(
+                    lambda x: mpmath.gammainc(a, 0, x / 2, regularized=True) - p,
+                    mpmath.mpf(q),
+                )
+                assert abs(q / exact - 1) <= 1e-15, (dof, p)
+
+
+def test_chi2_quantile_raises_instead_of_returning_an_unconverged_value(monkeypatch):
+    monkeypatch.setattr(homodyne, "_CHI2_MAX_ITER", 1)
+    for dof in (1, 149):
+        with pytest.raises(ConvergenceError):
+            homodyne._chi2_quantile(0.025, dof)
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])
