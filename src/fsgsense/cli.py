@@ -29,7 +29,7 @@ from .errors import (
     SingularError,
     UndefinedError,
 )
-from .family import check_budget
+from .family import chart_blocks, check_budget
 from .homodyne import (
     HomodyneOpt,
     McConfig,
@@ -59,7 +59,7 @@ DEFAULT_N_GRID = {"min": 1.0, "max": 1000.0, "points": 25, "spacing": "log"}
 CONFIG_KEYS = {"M_list", "n_th_list", "N_grid", "objective", "homodyne", "output"}
 N_GRID_KEYS = {"min", "max", "points", "spacing"}
 # rows optimized as one batch: each (grid x rows) temporary of the homodyne
-# angle scan is 1001 x 64 doubles, about 0.5 MB
+# z scan is at most 78 x 64 doubles on the figure grid (homodyne.Z_STEP)
 SWEEP_CHUNK_ROWS = 64
 
 
@@ -110,7 +110,8 @@ def _record(
         return SweepRecord(
             M=M, n_th=n_th, N_tot=N_tot, objective=objective, feasible=False, **empty
         )
-    blocks, fim = result.blocks, result.fim
+    params, fim = result.params, result.fim
+    eps1, eps2, gam1, gam2 = chart_blocks(params.M, params.nu, params.s, params.t)
     return SweepRecord(
         M=M,
         n_th=n_th,
@@ -118,10 +119,10 @@ def _record(
         objective=objective,
         t_star=result.t_star,
         s_star=result.s_star,
-        eps1=blocks.eps1,
-        eps2=blocks.eps2,
-        gam1=blocks.gam1,
-        gam2=blocks.gam2,
+        eps1=eps1,
+        eps2=eps2,
+        gam1=gam1,
+        gam2=gam2,
         F11=fim.f11,
         F12=fim.f12,
         xi=result.xi,
@@ -147,9 +148,8 @@ def _compute_records(points, objective: str, homodyne: bool) -> list[SweepRecord
     """Records of (M, n_th, N_tot) points under one objective, in order.
 
     The feasible points are optimized as one batch; with homodyne, so are
-    the angles of the optima that carry information (xi > 0).  A state
-    whose homodyne information vanishes at every angle keeps empty
-    homodyne cells.
+    the angles of the optima that carry information (xi > 0).  The others
+    keep empty homodyne cells.
     """
     feasible = [i for i, point in enumerate(points) if _feasible(*point)]
     optima = optimize_batch([points[i] for i in feasible], objective)
@@ -157,7 +157,7 @@ def _compute_records(points, objective: str, homodyne: bool) -> list[SweepRecord
     angles = {}
     if homodyne:
         live = [i for i in feasible if results[i].xi > 0.0]
-        best_angles = optimize_homodyne_angles([results[i].blocks for i in live])
+        best_angles = optimize_homodyne_angles([results[i].params for i in live])
         angles = dict(zip(live, best_angles))
     return [
         _record(*point, objective, results.get(i), angles.get(i))
@@ -414,9 +414,9 @@ def mc(modes, nth, n_tot, samples, trials, seed):
         raise click.UsageError("invalid --M/--nth/--N/--seed")
     try:
         result = maximize_privacy(modes, nth, n_tot)
-        hd = optimize_homodyne_angle(result.blocks)
+        hd = optimize_homodyne_angle(result.params)
         report = mc_estimate(
-            result.blocks,
+            result.params,
             hd.theta_star,
             McConfig(n_samples=samples, trials=trials, seed=seed),
         )

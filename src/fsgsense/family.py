@@ -5,7 +5,10 @@ parameter s and an orthogonal-modes squeezing parameter t, on top of a
 common thermal occupation n_th.  The construction makes both symplectic
 eigenvalues equal to nu = 1 + 2 n_th by design, so isothermality never has
 to be solved for.  At fixed total photon number the family is a
-one-parameter manifold in t.
+one-parameter manifold in t.  The chart is the canonical representation:
+the covariance blocks (chart_blocks) are derived from it for the report,
+and FsgBlocks, with its vacuum check, serves states built by hand and the
+dense oracles.
 """
 
 from __future__ import annotations
@@ -68,24 +71,26 @@ class SolveSResult:
     feasible: bool
 
 
-def blocks_from_params(params: FsgParams) -> FsgBlocks:
-    """Covariance blocks of the (M, n_th, s, t) chart.
+def chart_blocks(m, nu, s, t):
+    """Covariance entries (eps1, eps2, gam1, gam2) of the chart (M, nu, s, t).
 
     eps1 = nu (e^{2s} + (M-1) e^{2t}) / M,   gam1 = nu (e^{2s} - e^{2t}) / M,
-    and eps2, gam2 with both signs of the exponents flipped.  The resulting
-    blocks satisfy nu- = nu+ = 1 + 2 n_th identically.
+    and eps2, gam2 with both signs of the exponents flipped.  The blocks
+    satisfy nu- = nu+ = nu identically.  Array-aware.
     """
-    m = params.M
-    nu = params.nu
-    a = np.exp(2.0 * params.s)
-    b = np.exp(2.0 * params.t)
-    return FsgBlocks(
-        M=m,
-        eps1=nu * (a + (m - 1) * b) / m,
-        eps2=nu * (1.0 / a + (m - 1) / b) / m,
-        gam1=nu * (a - b) / m,
-        gam2=nu * (1.0 / a - 1.0 / b) / m,
+    a = np.exp(2.0 * s)
+    b = np.exp(2.0 * t)
+    return (
+        nu * (a + (m - 1) * b) / m,
+        nu * (1.0 / a + (m - 1) / b) / m,
+        nu * (a - b) / m,
+        nu * (1.0 / a - 1.0 / b) / m,
     )
+
+
+def blocks_from_params(params: FsgParams) -> FsgBlocks:
+    """Checked covariance blocks of the chart state (see chart_blocks)."""
+    return FsgBlocks(params.M, *chart_blocks(params.M, params.nu, params.s, params.t))
 
 
 def params_from_blocks(blocks: FsgBlocks) -> FsgParams:

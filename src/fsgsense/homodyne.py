@@ -5,6 +5,11 @@ every encoded phase is zero.  The measurement outcome of the network is a
 zero-mean M-variate normal with covariance Gamma, whose classical Fisher
 matrix F_jk = Tr[Gamma^-1 (d_j Gamma) Gamma^-1 (d_k Gamma)] / 2 inherits
 the a I + b J structure of the probe state.
+
+States are taken in their chart (M, nu, s, t), where the Fisher matrix
+and the likelihood are closed forms (chart_homodyne_coeffs,
+kernels.mle_trials).  homodyne_cov and homodyne_cov_derivatives build
+Gamma densely from covariance blocks, as the oracles for those forms.
 """
 
 from __future__ import annotations
@@ -17,13 +22,20 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceError, DegenerateError, DomainError, NumericalError
-from .family import FsgBlocks
-from .metrology import StructuredFim, xi_from_ab
+from .family import FsgBlocks, FsgParams
+from .metrology import StructuredFim
 
-ANGLE_GRID_POINTS = 1001
-ANGLE_TOL = 1e-10
+# the angle search scans z on [min(2s, 2t) - Z_PAD, max(2s, 2t) + Z_PAD]
+# in steps of Z_STEP, then refines to Z_TOL
+Z_STEP = 0.25
+Z_PAD = 2.0
+Z_TOL = 1e-10
 MLE_BRACKET = 0.3
 _MLE_GRID = 121
+_MLE_TOL = 1e-10
+# the rest modes' moment Y / k, Y ~ chi2(k), spreads by sqrt(2 / k); beyond
+# this k, rounding near 1 (1.1e-16) adds over 1e-3 of its variance
+_MAX_REST_DOF = 1e29
 _CHI2_MAX_ITER = 20
 # Stirling series of ln Gamma(a + 1) - [(a + 1/2) ln a - a + ln(2 pi)/2],
 # the coefficients of a^-1, a^-3, ..., a^-13
@@ -114,98 +126,106 @@ def homodyne_cov_derivatives(blocks: FsgBlocks, theta_hd: float) -> list[np.ndar
     return out
 
 
-def _cov_spectrum(blocks: FsgBlocks, theta_hd: float) -> tuple[float, float]:
-    """Eigenvalues (g, g + M c) of the equal-angle covariance G = g I + c J.
+def _sech(u):
+    """sech u without overflow; 0 at u = +-inf."""
+    e = np.exp(-np.abs(u))
+    return 2.0 * e / (1.0 + e * e)
 
-    g + M c belongs to the common mode 1/sqrt(M), g to the M - 1 modes
-    orthogonal to it.  Raises NumericalError when G is not positive definite.
+
+def chart_homodyne_coeffs(m, s, t, z):
+    """Homodyne Fisher matrix F = a I + b J of the chart state (M, nu, s, t)
+    at z = ln|tan theta_hd|, and xi_hd = 1^T F 1; array-aware.
+
+    lambda_x(theta) = cosh(z - 2x) / cosh z, so the common phase moves the
+    log-variance of a mode squeezed by x at the rate
+    -r_x = -2 sinh 2x sech(z - 2x).  Then
+    xi_hd = [(M-1) r_t^2 + r_s^2] / 2,
+    a = (sinh 2s + sinh 2t)^2 sech(z - 2s) sech(z - 2t) / M
+        + (M-2) r_t^2 / (2M),
+    b = (xi_hd / M - a) / M.
+    None of them depends on nu.  Each peak of xi_hd has unit width in z
+    whatever s and t are, and z = +-inf (theta_hd = 0 or pi/2) gives zeros.
     """
-    g, gp, _, _ = kernels._angle_cov(
-        blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M, theta_hd
-    )
-    min_eig = min(g, gp)
-    if min_eig <= 1e-10:
-        raise NumericalError(
-            f"homodyne covariance lost positive definiteness (min eig {min_eig:.3e})"
-        )
-    return float(g), float(gp)
+    sech_s, sech_t = _sech(z - 2.0 * s), _sech(z - 2.0 * t)
+    sinh_s, sinh_t = np.sinh(2.0 * s), np.sinh(2.0 * t)
+    r_s, r_t = 2.0 * sinh_s * sech_s, 2.0 * sinh_t * sech_t
+    xi = 0.5 * ((m - 1.0) * r_t * r_t + r_s * r_s)
+    a = (sinh_s + sinh_t) ** 2 * sech_s * sech_t / m + (m - 2.0) * r_t * r_t / (2.0 * m)
+    return a, (xi / m - a) / m, xi
 
 
-def homodyne_fim(blocks: FsgBlocks, theta_hd: float) -> StructuredFim:
-    """Classical Fisher matrix of equal-angle homodyne detection.
+def _z_of(theta_hd: float) -> float:
+    """z = ln|tan theta_hd|; -inf at theta_hd = 0."""
+    with np.errstate(divide="ignore"):
+        return float(np.log(np.abs(np.tan(theta_hd))))
 
-    F_jk = Tr[G^-1 (d_j G) G^-1 (d_k G)] / 2 in its a I + b J form, from
-    the structured inverse of G = g I + c J (see kernels.homodyne_scan).
+
+def homodyne_fim(params: FsgParams, theta_hd: float) -> StructuredFim:
+    """Classical Fisher matrix of equal-angle homodyne detection on the
+    chart state params, in its a I + b J form (chart_homodyne_coeffs)."""
+    a, b, _ = chart_homodyne_coeffs(params.M, params.s, params.t, _z_of(theta_hd))
+    return StructuredFim(M=params.M, a=float(a), b=float(b))
+
+
+def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | None]:
+    """Best common homodyne angle of each chart state, as one batch.
+
+    xi_hd is a sum of two unit-width peaks in z at 2s and 2t
+    (chart_homodyne_coeffs), so its maximum lies between them.  Each state
+    scans z from min(2s, 2t) - Z_PAD in steps of Z_STEP to at least
+    max(2s, 2t) + Z_PAD (a short row scans on with the batch, where xi_hd
+    only falls, so rows do not depend on each other), then golden-section
+    refines one step each side of the best point, in lockstep.  theta* =
+    arctan e^{z*} is in (0, pi/2); pi - theta* gives the same Gamma and F.
+    A state without homodyne information (s = t = 0) gets None.
     """
-    _cov_spectrum(blocks, theta_hd)
-    a_arr, b_arr = kernels.homodyne_scan(
-        blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M, np.array([theta_hd])
+    if not states:
+        return []
+    m, s, t = (
+        np.array([getattr(p, name) for p in states], dtype=float)
+        for name in ("M", "s", "t")
     )
-    a, b = float(a_arr[0]), float(b_arr[0])
-    scale = max(1.0, abs(a + b), abs(b))
-    if -1e-12 * scale < a < 0.0:
-        a = 0.0
-    return StructuredFim(M=blocks.M, a=a, b=b)
-
-
-def optimize_homodyne_angles(blocks: Sequence[FsgBlocks]) -> list[HomodyneOpt | None]:
-    """Best common homodyne angle of each state, as one batch.
-
-    Maximizes the mean-phase precision xi_hd / M^2 = a / M + b: one
-    (angle grid x states) scan on [0, pi), then golden-section on every
-    state in lockstep.  The angle is reported in [0, pi/2]:
-    Gamma(pi - theta) = Gamma(theta) and F is quadratic in sin(2 theta),
-    so theta and pi - theta are equally good.  A state whose homodyne
-    Fisher matrix vanishes at every grid angle gets None.
-    """
-    eps1, eps2, gam1, gam2, m = (
-        np.array([getattr(b, name) for b in blocks], dtype=float)
-        for name in ("eps1", "eps2", "gam1", "gam2", "M")
-    )
-    n2 = 1.0 / m
-    thetas = np.linspace(0.0, np.pi, ANGLE_GRID_POINTS, endpoint=False)[:, None]
-    a_arr, b_arr = kernels.homodyne_scan(eps1, eps2, gam1, gam2, m, thetas)
-    flat = np.max(np.abs(a_arr) + m * np.abs(b_arr), axis=0) <= 1e-14
-    live = np.flatnonzero(~flat)
-    out: list[HomodyneOpt | None] = [None] * len(blocks)
+    width = 2.0 * np.max(np.abs(s - t)) + 2.0 * Z_PAD
+    steps = np.arange(math.ceil(width / Z_STEP) + 1)[:, None]
+    grid = 2.0 * np.minimum(s, t) - Z_PAD + Z_STEP * steps
+    xi = chart_homodyne_coeffs(m, s, t, grid)[2]
+    best = np.argmax(xi, axis=0)
+    live = np.flatnonzero(xi[best, np.arange(len(states))] > 0.0)
+    out: list[HomodyneOpt | None] = [None] * len(states)
     if not live.size:
         return out
-
-    def proxy_at(th, rows):
-        a, b = kernels.homodyne_scan(
-            eps1[rows], eps2[rows], gam1[rows], gam2[rows], m[rows], th
-        )
-        return n2[rows] * a + b
-
-    proxy = n2[live] * a_arr[:, live] + b_arr[:, live]
-    idx = np.argmax(proxy, axis=0)
-    lo = thetas[np.maximum(idx - 1, 0), 0]
-    hi = thetas[np.minimum(idx + 1, ANGLE_GRID_POINTS - 1), 0]
-    refined, _, _, _ = kernels.golden_max(
-        lambda th, rows: proxy_at(th, live[rows]), lo, hi, ANGLE_TOL
+    m, s, t = m[live], s[live], t[live]
+    z0 = grid[best[live], live]
+    z_star, _, _, _ = kernels.golden_max(
+        lambda z, rows: chart_homodyne_coeffs(m[rows], s[rows], t[rows], z)[2],
+        z0 - Z_STEP,
+        z0 + Z_STEP,
+        Z_TOL,
     )
-    grid_better = proxy[idx, np.arange(live.size)] > proxy_at(refined, live)
-    theta_star = np.where(grid_better, thetas[idx, 0], refined)
-    for i, theta in zip(live, np.minimum(theta_star, np.pi - theta_star)):
-        fim = homodyne_fim(blocks[i], float(theta))
-        xi_hd = float(xi_from_ab(fim.a, fim.b, fim.M))
-        out[i] = HomodyneOpt(theta_star=float(theta), fim=fim, xi_hd=xi_hd)
+    a, b, xi_hd = chart_homodyne_coeffs(m, s, t, z_star)
+    theta_star = np.arctan(np.exp(z_star))
+    for j, i in enumerate(live):
+        out[i] = HomodyneOpt(
+            theta_star=float(theta_star[j]),
+            fim=StructuredFim(M=states[i].M, a=float(a[j]), b=float(b[j])),
+            xi_hd=float(xi_hd[j]),
+        )
     return out
 
 
-def optimize_homodyne_angle(blocks: FsgBlocks) -> HomodyneOpt:
-    """Best common homodyne angle in [0, pi/2]; see optimize_homodyne_angles.
+def optimize_homodyne_angle(params: FsgParams) -> HomodyneOpt:
+    """Best common homodyne angle in (0, pi/2); see optimize_homodyne_angles.
 
     Raises DegenerateError when the homodyne Fisher matrix vanishes at
     every angle.
     """
-    (best,) = optimize_homodyne_angles([blocks])
+    (best,) = optimize_homodyne_angles([params])
     if best is None:
         raise DegenerateError("homodyne Fisher matrix vanishes for every angle")
     return best
 
 
-def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
+def mc_estimate(params: FsgParams, theta_hd: float, mc: McConfig) -> McReport:
     """Empirical check of the Cramér-Rao bound along the common direction.
 
     Each trial stands for n_samples outcomes x_i ~ N(0, Gamma) and forms the
@@ -217,34 +237,44 @@ def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
     bracket stops at the nearest such reflection point on each side, which
     would otherwise hold a mirror image of the true minimum.
 
-    The likelihood sees the outcomes only through the sample covariance
-    S = sum_i x_i x_i^T / n via tr S and 1^T S 1, and both are drawn
-    exactly: Gamma = g I + c J has eigenvalue l+ = g + M c on the common
-    mode and l- = g on the other M - 1, so with independent chi-square
-    draws X ~ chi2(n) and Y ~ chi2(n (M - 1)),
-    n tr S = l+ X + l- Y  and  n 1^T S 1 = M l+ X.
-    One generator seeded with `seed` draws every X, then every Y, so the
-    cost is O(trials) and results are bitwise reproducible.
+    The likelihood sees the outcomes only through the sample second moments
+    of the common mode and of the other M - 1 normal modes
+    (kernels.mle_trials), drawn exactly in units of their variances as
+    X / n and Y / (n (M - 1)), X ~ chi2(n) and Y ~ chi2(n (M - 1)).  One
+    generator seeded with `seed` draws every X, then every Y, so the cost
+    is O(trials) and results are bitwise reproducible.
 
     The 95% interval of the variance is the chi-square one,
     ci95 = dof var / chi2_dof(0.975 ... 0.025), with dof = trials - 1.
+    Raises NumericalError when the Cramér-Rao deviation is below the
+    likelihood search's resolution _MLE_TOL, or when n (M - 1) exceeds
+    _MAX_REST_DOF.
     """
-    m = blocks.M
+    m = params.M
     n = mc.n_samples
-    lam_minus, lam_plus = _cov_spectrum(blocks, theta_hd)
+    xi_hd = float(chart_homodyne_coeffs(m, params.s, params.t, _z_of(theta_hd))[2])
+    if xi_hd <= 0.0:
+        raise DegenerateError("homodyne Fisher information vanishes at this angle")
+    crb = 1.0 / (n * xi_hd)
+    if crb < _MLE_TOL**2:
+        raise NumericalError(
+            f"the Cramer-Rao deviation {math.sqrt(crb):.1e} is below the "
+            f"likelihood search's resolution {_MLE_TOL:.0e}"
+        )
+    if n * (m - 1) > _MAX_REST_DOF:
+        raise NumericalError(
+            f"samples x (M - 1) = {n * (m - 1):.1e} exceeds {_MAX_REST_DOF:.0e}: "
+            "the sampled moments round off more than they spread"
+        )
     rng = np.random.default_rng(mc.seed)
-    common = rng.chisquare(n, mc.trials)
-    rest = rng.chisquare(n * (m - 1), mc.trials)
-    tr_s = (lam_plus * common + lam_minus * rest) / n
-    sum_s = m * lam_plus * common / n
+    common = rng.chisquare(n, mc.trials) / n
+    rest = rng.chisquare(n * (m - 1), mc.trials) / (n * (m - 1))
 
     half_pi = 0.5 * math.pi
     lo = max(-MLE_BRACKET, (math.ceil(theta_hd / half_pi) - 1) * half_pi - theta_hd)
     hi = min(MLE_BRACKET, (math.floor(theta_hd / half_pi) + 1) * half_pi - theta_hd)
     theta_hat, boundary = kernels.mle_trials(
-        tr_s, sum_s, m, n,
-        blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2,
-        theta_hd, lo, hi, _MLE_GRID, 1e-10,
+        common, rest, m, params.s, params.t, theta_hd, lo, hi, _MLE_GRID, _MLE_TOL
     )
     if np.any(boundary):
         first = int(np.flatnonzero(boundary)[0])
@@ -253,11 +283,6 @@ def mc_estimate(blocks: FsgBlocks, theta_hd: float, mc: McConfig) -> McReport:
         )
 
     empirical_var = float(np.var(theta_hat, ddof=1))
-    fim = homodyne_fim(blocks, theta_hd)
-    xi_hd = float(xi_from_ab(fim.a, fim.b, m))
-    if xi_hd <= 0.0:
-        raise DegenerateError("homodyne Fisher information vanishes at this angle")
-    crb = 1.0 / (n * xi_hd)
     dof = mc.trials - 1
     ci95 = (
         dof * empirical_var / _chi2_quantile(0.975, dof),

@@ -1,8 +1,8 @@
 """Hot numeric kernels, written as numpy array expressions.
 
-Per-row parameters (modes, nu, n_tot, the covariance blocks) broadcast
-against the trailing axis, so a (grid x rows) array of points evaluates
-many states at once.
+Per-row chart parameters (modes, s, t, n_eff) broadcast against the
+trailing axis, so a (grid x rows) array of points evaluates many states
+at once.
 """
 
 import math
@@ -70,81 +70,49 @@ def golden_max(f, lo, hi, tol):
     return np.where(f1 >= f2, x1, x2), a, b, iterations
 
 
-def _angle_cov(eps1, eps2, gam1, gam2, m, phi):
-    """Equal-angle homodyne covariance G = g I + c J and its inverse.
-
-    At common angle phi the diagonal is E = eps1 c^2 + eps2 s^2 and the
-    off-diagonal C = gam1 c^2 + gam2 s^2, so g = E - C.  G has eigenvalues
-    g (M-1 times) and g + M c, and G^-1 = alpha I + beta J with
-    alpha = 1/g and beta = -c / [g (g + M c)].
-
-    Returns (g, g + M c, alpha, beta).
-    """
-    c2 = np.cos(phi) ** 2
-    s2 = 1.0 - c2
-    e = eps1 * c2 + eps2 * s2
-    c = gam1 * c2 + gam2 * s2
-    g = e - c
-    gp = g + m * c
-    return g, gp, 1.0 / g, -c / g / gp  # g * gp may overflow
-
-
-def homodyne_scan(eps1, eps2, gam1, gam2, modes, thetas):
-    """Structured homodyne Fisher matrix over a grid of common angles.
-
-    The parameter derivatives of G at zero prior have diagonal entry
-    D = (eps2 - eps1) sin(2 theta) and off-diagonal entry
-    O = (gam2 - gam1) sin(2 theta) / 2.  The Fisher matrix
-    F_jk = Tr[G^-1 (d_j G) G^-1 (d_k G)] / 2 then reduces to scalar
-    algebra in (D, O) and the structured inverse of G.
-
-    Returns arrays (a, b) with F = a I + b J.
-    """
-    m = np.asarray(modes, dtype=float)
-    _, _, alpha, beta = _angle_cov(eps1, eps2, gam1, gam2, m, thetas)
-    q = alpha + m * beta
-    ab = alpha + beta
-    s2t = np.sin(2.0 * thetas)
-    dd = (eps2 - eps1) * s2t
-    oo = 0.5 * (gam2 - gam1) * s2t
-    d = dd - 2.0 * oo
-    f11 = 0.5 * (
-        2.0 * oo * q * (oo * q + oo * m * ab + d * ab)
-        + d * (2.0 * oo * q * ab + d * ab * ab)
-    )
-    f12 = 0.5 * (
-        2.0 * oo * q * (oo * (q + m * beta) + d * beta)
-        + d * (2.0 * oo * q * beta + d * beta * beta)
-    )
-    return f11 - f12, f12
-
-
-def mle_trials(tr_s, sum_s, modes, n_samples, eps1, eps2, gam1, gam2,
-               theta_hd, lo, hi, grid_points, tol):
+def mle_trials(common, rest, modes, s, t, theta_hd, lo, hi, grid_points, tol):
     """Per-trial 1-D maximum-likelihood estimates of the common phase.
 
-    The negative log-likelihood per shot (up to a constant) is
-    [ln det G(theta) + tr(G(theta)^-1 S)] / 2
-    with S summarized per trial by (tr S, 1^T S 1), since
-    G(theta) = g I + c J for the symmetric direction.  A coarse
-    (grid x trials) scan on [lo, hi] picks each trial's bracket, then
-    golden_max refines all trials in lockstep until every bracket is
-    narrower than tol; the estimate is the final bracket's midpoint.
+    At common phase phi the outcome covariance of the chart state
+    (M, nu, s, t) has eigenvalue nu lambda_s(theta_hd + phi) on the common
+    mode and nu lambda_t(theta_hd + phi) on the other M - 1 modes, with
+    lambda_x(theta) = e^{2x} cos^2 theta + e^{-2x} sin^2 theta.  common and
+    rest are each trial's second moments of the common mode and (per mode)
+    of the others, in units of their phi = 0 variances.  A mode whose
+    variance moves by q = 1 + d / lambda(theta_hd), with
+    d = -2 sinh 2x sin(2 theta_hd + phi) sin(phi), adds ln q + rho (1/q - 1)
+    to the negative log-likelihood, rho its moment; nothing cancels, even
+    at M = 1e20, and nu drops out.  A (grid x trials) scan on [lo, hi]
+    picks each trial's bracket, then golden_max refines all trials in
+    lockstep to width tol; the estimate is the final bracket's midpoint.
 
     Returns (theta_hat, hit_boundary) arrays.
     """
     m = float(modes)
+    c0, s0 = math.cos(theta_hd) ** 2, math.sin(theta_hd) ** 2
+    # (e^{2x}, e^{-2x}, lambda_x(theta_hd), 2 sinh 2x, weight) per mode; the
+    # weights divide by M, so that (M - 1) x term cannot overflow
+    modes_at = []
+    for x, weight in ((s, 1.0 / m), (t, 1.0 - 1.0 / m)):
+        up, down = math.exp(2.0 * x), math.exp(-2.0 * x)
+        modes_at.append((up, down, up * c0 + down * s0, 2.0 * math.sinh(2.0 * x), weight))
 
-    def neg_ll(th, tr, sm):
-        g, gp, alpha, beta = _angle_cov(eps1, eps2, gam1, gam2, m, theta_hd + th)
-        return 0.5 * ((m - 1.0) * np.log(g) + np.log(gp) + alpha * tr + beta * sm)
+    def neg_ll(th, rho_common, rho_rest):
+        phi = theta_hd + th
+        c2, s2 = np.cos(phi) ** 2, np.sin(phi) ** 2
+        shift = -np.sin(2.0 * theta_hd + th) * np.sin(th)
+        total = 0.0
+        for (up, down, lam0, rate, w), rho in zip(modes_at, (rho_common, rho_rest)):
+            d = rate * shift
+            total = total + w * (np.log1p(d / lam0) - rho * d / (up * c2 + down * s2))
+        return total
 
     # one row per grid angle, one column per trial
     grid = lo + (hi - lo) * np.arange(grid_points)[:, None] / (grid_points - 1.0)
-    best_th = grid[np.argmin(neg_ll(grid, tr_s, sum_s), axis=0), 0]
+    best_th = grid[np.argmin(neg_ll(grid, common, rest), axis=0), 0]
     step = (hi - lo) / (grid_points - 1.0)
     _, a, b, _ = golden_max(
-        lambda th, rows: -neg_ll(th, tr_s[rows], sum_s[rows]),
+        lambda th, rows: -neg_ll(th, common[rows], rest[rows]),
         np.maximum(best_th - step, lo),
         np.minimum(best_th + step, hi),
         tol,

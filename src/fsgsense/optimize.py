@@ -6,7 +6,8 @@ optimum at t = 0 and confines the privacy optimum to [-t_max, 0], where a
 golden-section search finds it (see optimize_batch).  Every state is
 handled in its chart (M, nu, s, t): s solves the photon constraint, and
 the QFIM comes from metrology.chart_fisher_coeffs, so the search, the
-reported values and the scan share one closed form.  Rows (M, n_th, N_tot)
+reported values and the scan share one closed form.  The result carries
+the optimum's chart (OptResult.params), not its covariance blocks.  Rows (M, n_th, N_tot)
 sharing an objective are optimized as one batch, with golden-section on
 every privacy row in lockstep.  The single-row functions are batches of
 one.
@@ -21,13 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceError, DomainError, NumericalError
-from .family import (
-    FsgBlocks,
-    FsgParams,
-    blocks_from_params,
-    free_parameter_range,
-    squeezed_photons,
-)
+from .family import FsgParams, free_parameter_range, squeezed_photons
 from .metrology import (
     StructuredFim,
     chart_fisher_coeffs,
@@ -48,7 +43,7 @@ class OptResult:
     objective: str  # "precision" | "privacy"
     t_star: float
     s_star: float
-    blocks: FsgBlocks
+    params: FsgParams  # the optimum's chart (M, n_th, s, t)
     fim: StructuredFim  # the QFIM of the state, from its chart
     xi: float
     privacy: float
@@ -140,9 +135,7 @@ def optimize_batch(
             objective=objective,
             t_star=float(t_star[i]),
             s_star=float(s_star[i]),
-            blocks=blocks_from_params(
-                FsgParams(M=M, n_th=nth, s=float(s_star[i]), t=float(t_star[i]))
-            ),
+            params=FsgParams(M=M, n_th=nth, s=float(s_star[i]), t=float(t_star[i])),
             fim=StructuredFim(M=M, a=float(a[i]), b=float(b[i])),
             xi=float(xi[i]),
             privacy=float(p[i]),

@@ -20,6 +20,7 @@ from fsgsense.family import (
     FsgParams,
     blocks_from_params,
     optimal_precision_blocks,
+    params_from_blocks,
     tmsv_blocks,
 )
 from fsgsense.homodyne import (
@@ -148,9 +149,9 @@ def test_criterion_4_thermal_clause_as_stated():
 @functools.lru_cache(maxsize=None)
 def _homodyne_anchor_values():
     result = maximize_privacy(4, 0.0, 100.0)
-    hd = optimize_homodyne_angle(result.blocks)
+    hd = optimize_homodyne_angle(result.params)
     r_small = maximize_privacy(2, 0.0, 10.0)
-    hd_small = optimize_homodyne_angle(r_small.blocks)
+    hd_small = optimize_homodyne_angle(r_small.params)
     return hd.xi_hd, hd.xi_hd / result.xi, hd_small.xi_hd / r_small.xi
 
 
@@ -334,9 +335,9 @@ def test_criterion_8_weight_matrix_spectrum():
 
 def test_criterion_9_monte_carlo_crb():
     blocks = tmsv_blocks(1.0)
-    hd = optimize_homodyne_angle(blocks)
-    base = mc_estimate(blocks, hd.theta_star, McConfig(n_samples=10_000, trials=300, seed=7))
-    double = mc_estimate(blocks, hd.theta_star, McConfig(n_samples=20_000, trials=300, seed=7))
+    hd = optimize_homodyne_angle(params_from_blocks(blocks))
+    base = mc_estimate(params_from_blocks(blocks), hd.theta_star, McConfig(n_samples=10_000, trials=300, seed=7))
+    double = mc_estimate(params_from_blocks(blocks), hd.theta_star, McConfig(n_samples=20_000, trials=300, seed=7))
     ratio_ok = 0.9 <= base.ratio <= 1.1
     # halving: the doubled-n variance, scaled back up, must be compatible
     # with the base run at the 95% level

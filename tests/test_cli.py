@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from conftest import same_fields
@@ -15,6 +16,7 @@ from conftest import same_fields
 import fsgsense
 from fsgsense import cli
 from fsgsense.cli import CSV_FIELDS, compute_record, main
+from fsgsense.family import FsgBlocks
 
 
 @pytest.fixture
@@ -364,12 +366,12 @@ def test_sweep_batches_equal_single_rows(monkeypatch):
 
 
 def test_numerical_failure_in_a_batch_exits_3(runner, tmp_path):
-    # the M = 1000 privacy row at N = 1e8 reports pure blocks whose symplectic
-    # eigenvalues round below vacuum (DomainError), inside a batch of good rows
+    # the 1e200 rows have N_eff > MAX_CHART_N, where the Fisher information
+    # overflows (NumericalError), inside a batch of good rows
     config, cfg = _sweep_config(
         tmp_path,
         M_list=[2, 1000],
-        N_grid={"min": 10.0, "max": 1e8, "points": 2, "spacing": "linear"},
+        N_grid={"min": 10.0, "max": 1e200, "points": 2, "spacing": "linear"},
         objective="privacy",
         homodyne=True,
     )
@@ -377,7 +379,7 @@ def test_numerical_failure_in_a_batch_exits_3(runner, tmp_path):
         runner.invoke(main, ["sweep", "--config", str(config)]),
         runner.invoke(
             main,
-            ["state", "--M", "1000", "--nth", "0", "--N", "1e8", "--objective", "privacy"],
+            ["state", "--M", "1000", "--nth", "0", "--N", "1e200", "--objective", "privacy"],
         ),
     ]
     for result in results:
@@ -387,6 +389,96 @@ def test_numerical_failure_in_a_batch_exits_3(runner, tmp_path):
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
         assert "Traceback" not in result.output
     assert not os.path.exists(cfg["output"])
+
+
+def _state(runner, *args):
+    result = runner.invoke(main, ["state", *args])
+    assert result.exit_code == 0, result.output
+    return _strict_json(result.output)
+
+
+@pytest.mark.parametrize(
+    "args, r_hd",
+    [
+        (["--M", "2", "--nth", "0", "--N", "177.82794100389228"], 0.5),
+        # 1 / (2 k(nu)) with nu = 3
+        (["--M", "2", "--nth", "1", "--N", "562.341325190349"], 1.0 / 3.6),
+    ],
+)
+def test_homodyne_angle_near_the_half_period_end(runner, args, r_hd):
+    # two fig4 rows whose optimum sat just below theta = pi, outside the
+    # old angle scan's bracket; they read 0.49338 and 0.27040
+    record = _state(runner, *args, "--objective", "privacy")
+    assert record["r_hd"] == pytest.approx(r_hd, abs=1e-9)
+
+
+@pytest.mark.parametrize("m, n_tot", [("2", "1e9"), ("1000000000", "10")])
+def test_homodyne_reaches_the_qfi_at_the_t0_state(runner, m, n_tot):
+    # at t = 0 homodyne detection at z = 2s attains the QFI exactly; the
+    # peak is e^-2s wide in theta, and the block route lost 1e-14 at M = 1e9
+    record = _state(runner, "--M", m, "--nth", "0", "--N", n_tot)
+    assert 1.0 - 1e-12 <= record["r_hd"] <= 1.0 + 1e-15
+
+
+def test_large_budgets_and_node_counts_run(runner):
+    # the reported blocks failed FsgBlocks' vacuum check here, and at
+    # M = 1e20 the block route lost every homodyne signal
+    record = _state(runner, "--M", "1000", "--nth", "0", "--N", "1e8", "--objective", "privacy")
+    assert 0.0 < record["r_hd"] <= 1.0
+    result = runner.invoke(
+        main,
+        ["mc", "--M", str(10**20), "--nth", "0", "--N", "10", "--samples", "1000",
+         "--trials", "200"],
+    )
+    assert result.exit_code == 0, result.output
+    payload = _strict_json(result.output)
+    assert payload["xi_hd"] == pytest.approx(844.6, rel=1e-3)
+    # about five standard errors of var/CRB at 200 trials
+    assert 0.5 < payload["ratio"] < 1.5
+
+
+@pytest.mark.parametrize(
+    "m, n_tot, message",
+    [
+        # the optimum's angle rounds to pi/2 and its Cramer-Rao deviation
+        # is ~1e-17, far below the likelihood search's 1e-10
+        ("3", "1e149", "the Cramer-Rao deviation"),
+        # the rest modes' moment spreads by 1.4e-16, as much as it rounds
+        (str(10**30), "10", "samples x (M - 1)"),
+    ],
+)
+def test_mc_beyond_the_estimator_resolution_exits_3(runner, m, n_tot, message):
+    result = runner.invoke(
+        main, ["mc", "--M", m, "--nth", "0", "--N", n_tot, "--samples", "100",
+               "--trials", "20"],
+    )
+    assert result.exit_code == 3
+    assert result.output.startswith("numerical failure: " + message)
+    assert len(result.output.strip().splitlines()) == 1
+
+
+def test_homodyne_holds_over_nine_decades_of_budget():
+    # 20 budgets per decade from 1e3 to 1e12; the block route raised on
+    # hundreds of these rows
+    n_list = [float(x) for x in np.geomspace(1e3, 1e12, 181)]
+    records = cli._run_sweep([2, 3, 10, 1000], [0.0, 1.0], n_list, ["precision", "privacy"], True)
+    assert len(records) == 4 * 2 * 181 * 2
+    # only M = 1000 at n_th = 1 and N = 1e3 sits on its thermal floor
+    flat = [rec for rec in records if rec.xi == 0.0]
+    assert [(rec.M, rec.n_th, rec.N_tot) for rec in flat] == [(1000, 1.0, 1e3)] * 2
+    for rec in records:
+        assert rec in flat or 0.0 < rec.r_hd <= 1.0 + 1e-12, rec
+
+
+def test_product_path_builds_no_covariance_blocks(monkeypatch, runner):
+    def refuse(self):
+        raise AssertionError("FsgBlocks built on the product path")
+
+    monkeypatch.setattr(FsgBlocks, "__post_init__", refuse)
+    records = cli._run_sweep([2, 5], [0.0, 1.0], [30.0, 300.0], ["precision", "privacy"], True)
+    assert all(rec.xi_hd is not None for rec in records)
+    result = runner.invoke(main, MC_SMALL)
+    assert result.exit_code == 0, result.output
 
 
 def test_sweep_unwritable_output_exits_4(runner, tmp_path):

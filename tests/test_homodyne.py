@@ -6,14 +6,15 @@ from conftest import dense_homodyne_fim, dense_sufficient_stats
 from fsgsense import homodyne
 from fsgsense.errors import ConvergenceError, DegenerateError, DomainError, NumericalError
 from fsgsense.family import (
-    FsgBlocks,
     FsgParams,
     blocks_from_params,
+    params_from_blocks,
     tmsv_blocks,
 )
 from fsgsense import kernels
 from fsgsense.homodyne import (
     McConfig,
+    chart_homodyne_coeffs,
     homodyne_cov,
     homodyne_cov_derivatives,
     homodyne_fim,
@@ -25,15 +26,21 @@ from fsgsense.optimize import maximize_privacy
 from fsgsense.symplectic import assemble_covariance, phase_rotation, physicality_check
 
 
-def random_blocks(rng):
-    return blocks_from_params(
-        FsgParams(
-            M=int(rng.integers(2, 7)),
-            n_th=float(rng.uniform(0.0, 3.0)),
-            s=float(rng.uniform(-1.2, 1.2)),
-            t=float(rng.uniform(-1.2, 1.2)),
-        )
+TMSV = params_from_blocks(tmsv_blocks(1.0))
+VACUUM = FsgParams(M=2, n_th=0.0, s=0.0, t=0.0)
+
+
+def random_params(rng):
+    return FsgParams(
+        M=int(rng.integers(2, 7)),
+        n_th=float(rng.uniform(0.0, 3.0)),
+        s=float(rng.uniform(-1.2, 1.2)),
+        t=float(rng.uniform(-1.2, 1.2)),
     )
+
+
+def random_blocks(rng):
+    return blocks_from_params(random_params(rng))
 
 
 def quadrature_projection_cov(blocks, theta_hd, thetas):
@@ -80,42 +87,61 @@ def test_derivatives_match_central_differences(rng):
 
 def test_fim_structure_and_kernel_parity(rng):
     for _ in range(25):
-        blocks = random_blocks(rng)
+        params = random_params(rng)
         theta = float(rng.uniform(0.05, np.pi - 0.05))
-        fim = homodyne_fim(blocks, theta)
-        a, b = dense_homodyne_fim(blocks, theta)
+        fim = homodyne_fim(params, theta)
+        a, b = dense_homodyne_fim(blocks_from_params(params), theta)
         scale = max(1.0, abs(a) + abs(b))
         assert fim.a == pytest.approx(a, abs=1e-9 * scale)
         assert fim.b == pytest.approx(b, abs=1e-9 * scale)
 
 
-def test_fim_rejects_near_singular_covariance():
-    # physical squeezed blocks whose x-quadrature variance is ~1e-11: at
-    # theta_hd = 0 the homodyne covariance is numerically singular
-    blocks = FsgBlocks(M=2, eps1=1e-11, eps2=1e11, gam1=0.0, gam2=0.0)
+def test_near_singular_covariance_in_the_dense_oracle_and_the_chart():
+    # pure squeezed nodes whose x-quadrature variance is ~1e-11: at
+    # theta_hd = 0 the dense homodyne covariance is numerically singular,
+    # while the chart's normal-mode variances stay positive at every angle
+    params = FsgParams(M=2, n_th=0.0, s=0.5 * np.log(1e-11), t=0.5 * np.log(1e-11))
+    blocks = blocks_from_params(params)
+    assert blocks.eps1 == pytest.approx(1e-11, rel=1e-12)
+    assert blocks.gam1 == blocks.gam2 == 0.0
     assert physicality_check(assemble_covariance(blocks)).physical
     with pytest.raises(NumericalError):
-        homodyne_fim(blocks, 0.0)
-    with pytest.raises(NumericalError):
         homodyne_cov(blocks, 0.0)
-    with pytest.raises(NumericalError):
-        mc_estimate(blocks, 0.0, McConfig(n_samples=100, trials=10, seed=0))
+    # theta_hd = 0 reads no phase; the peak sits at z = 2s, theta = 1e-11,
+    # where each node gives 2 sinh^2 2s
+    fim = homodyne_fim(params, 0.0)
+    assert (fim.a, fim.b) == (0.0, 0.0)
+    hd = optimize_homodyne_angle(params)
+    assert hd.theta_star == pytest.approx(1e-11, rel=1e-9)
+    assert hd.xi_hd == pytest.approx(4.0 * np.sinh(2.0 * params.s) ** 2, rel=1e-12)
+    assert hd.fim.b == pytest.approx(0.0, abs=1e-12 * hd.fim.a)
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+def test_fim_is_finite_where_z_is_infinite(theta):
+    # z = ln|tan theta| is -inf at 0 and about 37 at the float nearest pi/2
+    for params in (TMSV, FsgParams(M=5, n_th=1.0, s=3.0, t=-2.0)):
+        fim = homodyne_fim(params, theta)
+        assert np.isfinite([fim.a, fim.b]).all()
+        assert fim.a + params.M * fim.b <= 1e-20
+    for z in (-np.inf, np.inf):
+        assert chart_homodyne_coeffs(5, 3.0, -2.0, z) == (0.0, 0.0, 0.0)
 
 
 def test_fim_never_exceeds_quantum_limit(rng):
     from fsgsense.metrology import qfim_fsg
 
     for _ in range(25):
-        blocks = random_blocks(rng)
+        params = random_params(rng)
         theta = float(rng.uniform(0.0, np.pi))
-        hd = homodyne_fim(blocks, theta)
-        q = qfim_fsg(blocks)
+        hd = homodyne_fim(params, theta)
+        q = qfim_fsg(blocks_from_params(params))
         gap = np.linalg.eigvalsh(q.dense() - hd.dense())
         assert gap[0] >= -1e-8 * max(1.0, abs(gap[-1]))
 
 
 def test_tmsv_angle_optimization_anchor():
-    hd = optimize_homodyne_angle(tmsv_blocks(1.0))
+    hd = optimize_homodyne_angle(TMSV)
     assert hd.xi_hd == pytest.approx(6.125, rel=1e-9)
     assert np.cos(2.0 * hd.theta_star) ** 2 == pytest.approx(20.0 / 27.0, abs=0.01)
     # homodyne keeps just over half of the collective precision 12
@@ -123,40 +149,36 @@ def test_tmsv_angle_optimization_anchor():
 
 
 def test_angle_optimization_degenerate_on_vacuum_like_state():
-    from fsgsense.family import FsgBlocks
-
-    flat = FsgBlocks(M=2, eps1=1.0, eps2=1.0, gam1=0.0, gam2=0.0)
     with pytest.raises(DegenerateError):
-        optimize_homodyne_angle(flat)
+        optimize_homodyne_angle(VACUUM)
 
 
 def test_angle_is_reported_in_the_first_quadrant(rng):
     # Gamma(pi - theta) = Gamma(theta) and F is quadratic in sin(2 theta),
     # so theta and pi - theta are equally good; the smaller one is reported
-    states = [random_blocks(rng) for _ in range(12)] + [tmsv_blocks(1.0)]
+    states = [random_params(rng) for _ in range(12)] + [TMSV]
     batch = optimize_homodyne_angles(states)
-    for blocks, hd in zip(states, batch):
+    for params, hd in zip(states, batch):
         assert 0.0 <= hd.theta_star <= np.pi / 2
-        assert hd == optimize_homodyne_angle(blocks)
+        assert hd == optimize_homodyne_angle(params)
         for theta in (hd.theta_star, float(rng.uniform(0.05, np.pi / 2 - 0.05))):
-            near, far = homodyne_fim(blocks, theta), homodyne_fim(blocks, np.pi - theta)
+            near, far = homodyne_fim(params, theta), homodyne_fim(params, np.pi - theta)
             scale = max(1.0, abs(near.a) + abs(near.b))
             assert far.a == pytest.approx(near.a, abs=1e-12 * scale)
             assert far.b == pytest.approx(near.b, abs=1e-12 * scale)
 
 
 def test_angle_batch_leaves_degenerate_states_empty():
-    flat = FsgBlocks(M=2, eps1=1.0, eps2=1.0, gam1=0.0, gam2=0.0)
-    good = tmsv_blocks(1.0)
-    none, hd = optimize_homodyne_angles([flat, good])
+    none, hd = optimize_homodyne_angles([VACUUM, TMSV])
     assert none is None
-    assert hd == optimize_homodyne_angle(good)
+    assert hd == optimize_homodyne_angle(TMSV)
+    assert optimize_homodyne_angles([]) == []
 
 
 def test_precision_ratio_anchors():
     def ratio(M, n_th, N_tot):
         best = maximize_privacy(M, n_th, N_tot)
-        return optimize_homodyne_angle(best.blocks).xi_hd / best.xi
+        return optimize_homodyne_angle(best.params).xi_hd / best.xi
 
     assert ratio(2, 0.0, 10.0) == pytest.approx(0.5, abs=0.05)
     assert ratio(4, 0.0, 100.0) > 0.99
@@ -175,20 +197,18 @@ def test_mc_config_validation():
 
 
 def test_mc_is_reproducible():
-    blocks = tmsv_blocks(1.0)
-    hd = optimize_homodyne_angle(blocks)
+    hd = optimize_homodyne_angle(TMSV)
     cfg = McConfig(n_samples=500, trials=40, seed=11)
-    a = mc_estimate(blocks, hd.theta_star, cfg)
-    b = mc_estimate(blocks, hd.theta_star, cfg)
+    a = mc_estimate(TMSV, hd.theta_star, cfg)
+    b = mc_estimate(TMSV, hd.theta_star, cfg)
     assert a == b
-    c = mc_estimate(blocks, hd.theta_star, McConfig(n_samples=500, trials=40, seed=12))
+    c = mc_estimate(TMSV, hd.theta_star, McConfig(n_samples=500, trials=40, seed=12))
     assert c.empirical_var != a.empirical_var
 
 
 def test_mc_variance_tracks_the_bound():
-    blocks = tmsv_blocks(1.0)
-    hd = optimize_homodyne_angle(blocks)
-    report = mc_estimate(blocks, hd.theta_star, McConfig(n_samples=2000, trials=150, seed=3))
+    hd = optimize_homodyne_angle(TMSV)
+    report = mc_estimate(TMSV, hd.theta_star, McConfig(n_samples=2000, trials=150, seed=3))
     assert report.xi_hd == pytest.approx(6.125, rel=1e-9)
     assert report.crb == pytest.approx(1.0 / (2000 * 6.125), rel=1e-9)
     assert 0.8 < report.ratio < 1.25
@@ -231,11 +251,11 @@ def test_mc_bracket_stops_at_the_reflection_point(side):
     # G(theta_hd + phi) is even about phi = pi/2 - theta_hd; with theta_hd
     # 0.0303 from pi/2 on either side, a +-0.3 bracket would hold a mirror
     # minimum at 2 x 0.0303 from the true one
-    blocks = maximize_privacy(5, 1.0, 30.0).blocks
-    theta = optimize_homodyne_angle(blocks).theta_star
+    params = maximize_privacy(5, 1.0, 30.0).params
+    theta = optimize_homodyne_angle(params).theta_star
     assert np.pi / 2 - theta == pytest.approx(0.0303, abs=1e-4)
     theta_hd = np.pi / 2 + side * (np.pi / 2 - theta)
-    report = mc_estimate(blocks, theta_hd, McConfig(n_samples=5000, trials=200, seed=2))
+    report = mc_estimate(params, theta_hd, McConfig(n_samples=5000, trials=200, seed=2))
     from scipy import stats
 
     lo, hi = stats.chi2.ppf([1e-6, 1.0 - 1e-6], 199) / 199
@@ -243,33 +263,43 @@ def test_mc_bracket_stops_at_the_reflection_point(side):
     assert report.ci95[0] <= report.crb <= report.ci95[1]
 
 
-def _sampled_stats(monkeypatch, blocks, theta_hd, mc):
-    """The (tr S, 1^T S 1) arrays mc_estimate hands to the likelihood."""
+def _sampled_stats(monkeypatch, params, theta_hd, mc):
+    """The (tr S, 1^T S 1) of the moments mc_estimate hands to the likelihood.
+
+    mle_trials receives the common-mode and per-mode rest moments in units
+    of their variances; the dense covariance's eigenvalues restore S.
+    """
     seen = []
 
-    def spy(tr_s, sum_s, *rest):
-        seen.append((tr_s, sum_s))
-        return np.zeros_like(tr_s), np.zeros(tr_s.shape, dtype=bool)
+    def spy(common, rest, *args):
+        seen.append((common, rest))
+        return np.zeros_like(common), np.zeros(common.shape, dtype=bool)
 
     monkeypatch.setattr(kernels, "mle_trials", spy)
-    mc_estimate(blocks, theta_hd, mc)
-    return seen[0]
+    mc_estimate(params, theta_hd, mc)
+    common, rest = seen[0]
+    m = params.M
+    gamma = homodyne_cov(blocks_from_params(params), theta_hd)
+    lam_plus = gamma.sum() / m
+    lam_minus = (np.trace(gamma) - lam_plus) / (m - 1)
+    return lam_plus * common + (m - 1) * lam_minus * rest, m * lam_plus * common
 
 
 @pytest.mark.parametrize(
-    "blocks, theta_hd",
+    "params, theta_hd",
     [
-        (tmsv_blocks(1.0), 0.3),
-        (blocks_from_params(FsgParams(M=2, n_th=1.0, s=0.4, t=-0.2)), 1.1),
-        (maximize_privacy(5, 1.0, 20.0).blocks, 0.7),
-        (blocks_from_params(FsgParams(M=5, n_th=0.0, s=0.6, t=0.3)), 2.0),
+        (TMSV, 0.3),
+        (FsgParams(M=2, n_th=1.0, s=0.4, t=-0.2), 1.1),
+        (maximize_privacy(5, 1.0, 20.0).params, 0.7),
+        (FsgParams(M=5, n_th=0.0, s=0.6, t=0.3), 2.0),
     ],
     ids=["M2-pure", "M2-thermal", "M5-thermal", "M5-pure"],
 )
-def test_mc_sampler_matches_dense_sampler(monkeypatch, blocks, theta_hd):
+def test_mc_sampler_matches_dense_sampler(monkeypatch, params, theta_hd):
     n = 20
+    blocks = blocks_from_params(params)
     tr_new, sum_new = _sampled_stats(
-        monkeypatch, blocks, theta_hd, McConfig(n_samples=n, trials=20_000, seed=5)
+        monkeypatch, params, theta_hd, McConfig(n_samples=n, trials=20_000, seed=5)
     )
     tr_old, sum_old = dense_sufficient_stats(blocks, theta_hd, n, 3_000, seed=5)
     # exact moments from the dense covariance: the common mode 1/sqrt(M)

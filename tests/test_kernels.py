@@ -12,7 +12,12 @@ from fsgsense.family import (
     solve_s,
     squeezed_photons,
 )
-from fsgsense.homodyne import homodyne_cov, optimize_homodyne_angle
+from fsgsense.homodyne import (
+    chart_homodyne_coeffs,
+    homodyne_cov,
+    optimize_homodyne_angle,
+    optimize_homodyne_angles,
+)
 from fsgsense.metrology import chart_fisher_coeffs, qfim_fsg
 
 
@@ -31,29 +36,63 @@ def test_family_scan_matches_scalar_path(m, n_th, n_tot):
     assert photons == pytest.approx(np.full(ts.size, 2.0 * n_tot + m), rel=1e-12)
 
 
-def test_homodyne_scan_matches_dense_fim():
-    blocks = blocks_from_params(FsgParams(M=3, n_th=0.5, s=0.8, t=-0.3))
-    thetas = np.linspace(0.05, np.pi - 0.05, 17)
-    a_arr, b_arr = kernels.homodyne_scan(
-        blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, blocks.M, thetas
-    )
-    for i, th in enumerate(thetas):
-        a, b = dense_homodyne_fim(blocks, float(th))
-        scale = max(1.0, abs(a) + abs(b))
-        assert a_arr[i] == pytest.approx(a, abs=1e-9 * scale)
-        assert b_arr[i] == pytest.approx(b, abs=1e-9 * scale)
+def test_chart_homodyne_coeffs_match_dense_fim():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        params = FsgParams(
+            M=int(rng.integers(2, 9)),
+            n_th=float(rng.choice([0.0, 0.5, 1.0, 5.0])),
+            s=float(rng.uniform(-3.0, 3.0)),
+            t=float(rng.uniform(-3.0, 3.0)),
+        )
+        theta = float(rng.uniform(0.02, np.pi - 0.02))
+        a_ref, b_ref = dense_homodyne_fim(blocks_from_params(params), theta)
+        a, b, xi = chart_homodyne_coeffs(
+            params.M, params.s, params.t, np.log(abs(np.tan(theta)))
+        )
+        scale = max(1.0, abs(a_ref) + abs(b_ref))
+        assert a == pytest.approx(a_ref, abs=1e-9 * scale)
+        assert b == pytest.approx(b_ref, abs=1e-9 * scale)
+        assert xi == pytest.approx(params.M * (a + params.M * b), rel=1e-12, abs=1e-300)
+
+
+def test_angle_search_matches_a_dense_z_grid():
+    # the z scan plus golden-section against a 20,001-point grid over the
+    # whole half-period of the same closed form, at large |s| and |t|
+    rng = np.random.default_rng(13)
+    states = [
+        FsgParams(
+            M=int(rng.integers(2, 1001)),
+            n_th=0.0,
+            s=float(rng.uniform(0.0, 12.0)),
+            t=float(rng.uniform(-12.0, 12.0)),
+        )
+        for _ in range(200)
+    ]
+    for params, hd in zip(states, optimize_homodyne_angles(states)):
+        m, s, t = params.M, params.s, params.t
+        zs = np.linspace(min(2 * s, 2 * t) - 5.0, max(2 * s, 2 * t) + 5.0, 20_001)
+        brute = float(np.max(chart_homodyne_coeffs(m, s, t, zs)[2]))
+        assert hd.xi_hd >= brute * (1.0 - 1e-13)
+        assert 0.0 < hd.theta_star < np.pi / 2
+
+
+def _chart_moments(params, theta_hd, S):
+    """Common-mode and per-mode rest moments of S in units of the outcome
+    covariance's eigenvalues, as mle_trials takes them."""
+    gamma = homodyne_cov(blocks_from_params(params), theta_hd)
+    m = params.M
+    lam_plus = gamma.sum() / m
+    lam_minus = (np.trace(gamma) - lam_plus) / (m - 1)
+    common = S.sum() / m
+    return common / lam_plus, (np.trace(S) - common) / ((m - 1) * lam_minus)
 
 
 def test_mle_trials_recovers_zero_phase():
-    # noiseless sufficient statistics at theta = 0 must give theta_hat ~ 0
-    blocks = blocks_from_params(FsgParams(M=2, n_th=0.0, s=0.7, t=-0.7))
-    theta_hd = 0.4
-    gamma = homodyne_cov(blocks, theta_hd)
-    tr_s = np.array([float(np.trace(gamma))])
-    sum_s = np.array([float(gamma.sum())])
+    # noiseless moments at theta = 0 must give theta_hat ~ 0
+    params = FsgParams(M=2, n_th=0.0, s=0.7, t=-0.7)
     theta_hat, boundary = kernels.mle_trials(
-        tr_s, sum_s, 2, 1, blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2,
-        theta_hd, -0.3, 0.3, 121, 1e-10,
+        np.ones(1), np.ones(1), 2, params.s, params.t, 0.4, -0.3, 0.3, 121, 1e-10,
     )
     assert not boundary[0]
     assert abs(theta_hat[0]) < 1e-4
@@ -62,34 +101,36 @@ def test_mle_trials_recovers_zero_phase():
 def test_mle_trials_matches_dense_likelihood():
     # each trial's estimate must equal a bounded scalar search on the dense
     # Gaussian log-likelihood of the same sample second moments
-    blocks = blocks_from_params(FsgParams(M=3, n_th=0.5, s=0.6, t=-0.4))
-    theta_hd = optimize_homodyne_angle(blocks).theta_star
-    gamma = homodyne_cov(blocks, theta_hd)
-    chol = np.linalg.cholesky(gamma)
-    rng = np.random.default_rng(11)
-    n_samples, lo, hi = 200, -0.3, 0.3
-    moments = []
-    for _ in range(20):
-        x = rng.standard_normal((n_samples, blocks.M)) @ chol.T
-        moments.append(x.T @ x / n_samples)
-    tr_s = np.array([np.trace(S) for S in moments])
-    sum_s = np.array([S.sum() for S in moments])
-    theta_hat, boundary = kernels.mle_trials(
-        tr_s, sum_s, blocks.M, n_samples, blocks.eps1, blocks.eps2, blocks.gam1,
-        blocks.gam2, theta_hd, lo, hi, 121, 1e-10,
-    )
-    assert not boundary.any()
-
-    def neg_ll(th, S):
-        G = homodyne_cov(blocks, theta_hd, np.full(blocks.M, th))
-        return 0.5 * (np.linalg.slogdet(G)[1] + np.trace(np.linalg.solve(G, S)))
-
-    for k, S in enumerate(moments):
-        ref = minimize_scalar(
-            neg_ll, bounds=(lo, hi), args=(S,), method="bounded",
-            options={"xatol": 1e-11},
+    for params in (
+        FsgParams(M=3, n_th=0.5, s=0.6, t=-0.4),
+        FsgParams(M=5, n_th=1.0, s=0.4, t=0.1),
+    ):
+        blocks = blocks_from_params(params)
+        theta_hd = optimize_homodyne_angle(params).theta_star
+        gamma = homodyne_cov(blocks, theta_hd)
+        chol = np.linalg.cholesky(gamma)
+        rng = np.random.default_rng(11)
+        n_samples, lo, hi = 200, -0.3, 0.3
+        moments = []
+        for _ in range(20):
+            x = rng.standard_normal((n_samples, blocks.M)) @ chol.T
+            moments.append(x.T @ x / n_samples)
+        common, rest = np.array([_chart_moments(params, theta_hd, S) for S in moments]).T
+        theta_hat, boundary = kernels.mle_trials(
+            common, rest, params.M, params.s, params.t, theta_hd, lo, hi, 121, 1e-10,
         )
-        assert theta_hat[k] == pytest.approx(ref.x, abs=1e-6)
+        assert not boundary.any()
+
+        def neg_ll(th, S):
+            G = homodyne_cov(blocks, theta_hd, np.full(blocks.M, th))
+            return 0.5 * (np.linalg.slogdet(G)[1] + np.trace(np.linalg.solve(G, S)))
+
+        for k, S in enumerate(moments):
+            ref = minimize_scalar(
+                neg_ll, bounds=(lo, hi), args=(S,), method="bounded",
+                options={"xatol": 1e-11},
+            )
+            assert theta_hat[k] == pytest.approx(ref.x, abs=1e-6)
 
 
 def test_qfim_consistency_between_kernel_scan_and_closed_form():
