@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 config/validation error, 2 infeasible photon budget,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -18,17 +19,7 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateError,
-    DomainError,
-    InfeasibleError,
-    NumericalError,
-    OutOfRangeError,
-    PhysicalityError,
-    SingularError,
-    UndefinedError,
-)
+from .errors import FsgSenseError, InfeasibleError, NumericalError
 from .family import chart_blocks, check_budget
 from .homodyne import (
     HomodyneOpt,
@@ -41,17 +32,6 @@ from .optimize import OptResult, maximize_privacy, optimize_batch
 
 # spec'd exit-code contract: config errors exit 1
 click.UsageError.exit_code = 1
-
-_NUMERICAL = (
-    NumericalError,
-    ConvergenceError,
-    SingularError,
-    OutOfRangeError,
-    UndefinedError,
-    DegenerateError,
-    PhysicalityError,
-    DomainError,
-)
 
 DEFAULT_M_LIST = [2, 3, 4, 5, 6]
 DEFAULT_NTH_LIST = [0.0, 1.0, 5.0]
@@ -117,8 +97,8 @@ def _record(
         n_th=n_th,
         N_tot=N_tot,
         objective=objective,
-        t_star=result.t_star,
-        s_star=result.s_star,
+        t_star=params.t,
+        s_star=params.s,
         eps1=eps1,
         eps2=eps2,
         gam1=gam1,
@@ -192,15 +172,32 @@ def _write_csv(path: str, records) -> None:
             writer.writerow([_fmt(getattr(rec, name)) for name in CSV_FIELDS])
 
 
-def _echo_json(payload: dict) -> None:
-    """Print payload as strict JSON: NaN (undefined) as null, like the CSV's
-    empty cell; any other non-finite value is a numerical failure (exit 3)."""
-    clean = {k: None if isinstance(v, float) and v != v else v for k, v in payload.items()}
+@contextlib.contextmanager
+def _exit_codes():
+    """Turn a failure into its exit code and one stderr line: 2 for an
+    infeasible budget, 3 for any other package error, 4 for I/O."""
     try:
-        click.echo(json.dumps(clean, allow_nan=False))
-    except ValueError as exc:
+        yield
+    except InfeasibleError as exc:
+        click.echo(f"infeasible: {exc}", err=True)
+        sys.exit(2)
+    except FsgSenseError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
+    except OSError as exc:
+        click.echo(f"I/O failure: {exc}", err=True)
+        sys.exit(4)
+
+
+def _echo_json(payload: dict) -> None:
+    """Print payload as strict JSON: NaN (undefined) as null, like the CSV's
+    empty cell; any other non-finite value raises NumericalError."""
+    clean = {k: None if isinstance(v, float) and v != v else v for k, v in payload.items()}
+    try:
+        text = json.dumps(clean, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(str(exc)) from exc
+    click.echo(text)
 
 
 def _finite_nonnegative(*values: float) -> bool:
@@ -285,19 +282,10 @@ def state(modes, nth, n_tot, objective):
     """Optimize a single configuration and report it as JSON."""
     if modes < 2 or not _finite_nonnegative(nth, n_tot):
         raise click.UsageError("need --M >= 2 and finite --nth >= 0 and --N >= 0")
-    try:
-        if n_tot < modes * nth:
-            raise InfeasibleError(
-                f"N_tot={n_tot} below thermal floor M*n_th={modes * nth}"
-            )
+    with _exit_codes():
+        check_budget(modes, nth, n_tot)
         record = compute_record(modes, nth, n_tot, objective, homodyne=True)
-    except InfeasibleError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(2)
-    except _NUMERICAL as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(3)
-    _echo_json(dataclasses.asdict(record))
+        _echo_json(dataclasses.asdict(record))
 
 
 @main.command()
@@ -340,16 +328,9 @@ def sweep(config_path, out):
     n_list = _n_grid(cfg.get("N_grid", DEFAULT_N_GRID))
     objectives = ["precision", "privacy"] if objective == "both" else [objective]
 
-    try:
+    with _exit_codes():
         records = _run_sweep(m_list, nth_list, n_list, objectives, homodyne)
-    except _NUMERICAL as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(3)
-    try:
         _write_csv(out_path, records)
-    except OSError as exc:
-        click.echo(f"I/O failure: {exc}", err=True)
-        sys.exit(4)
     click.echo(f"wrote {len(records)} rows to {out_path}")
 
 
@@ -376,27 +357,16 @@ def figures(outdir, which):
         3: ("privacy", False),
         4: ("privacy", True),
     }
-    try:
+    with _exit_codes():
         os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        click.echo(f"I/O failure: {exc}", err=True)
-        sys.exit(4)
-    for fig in wanted:
-        objective, homodyne = plans[fig]
-        try:
+        for fig in wanted:
+            objective, homodyne = plans[fig]
             records = _run_sweep(
                 DEFAULT_M_LIST, DEFAULT_NTH_LIST, n_list, [objective], homodyne
             )
-        except _NUMERICAL as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(3)
-        path = os.path.join(outdir, f"fig{fig}.csv")
-        try:
+            path = os.path.join(outdir, f"fig{fig}.csv")
             _write_csv(path, records)
-        except OSError as exc:
-            click.echo(f"I/O failure: {exc}", err=True)
-            sys.exit(4)
-        click.echo(f"wrote {path}")
+            click.echo(f"wrote {path}")
 
 
 @main.command()
@@ -412,7 +382,7 @@ def mc(modes, nth, n_tot, samples, trials, seed):
         raise click.UsageError("--samples and --trials must both be >= 2")
     if modes < 2 or not _finite_nonnegative(nth, n_tot) or not 0 <= seed < 2**64:
         raise click.UsageError("invalid --M/--nth/--N/--seed")
-    try:
+    with _exit_codes():
         result = maximize_privacy(modes, nth, n_tot)
         hd = optimize_homodyne_angle(result.params)
         report = mc_estimate(
@@ -420,27 +390,22 @@ def mc(modes, nth, n_tot, samples, trials, seed):
             hd.theta_star,
             McConfig(n_samples=samples, trials=trials, seed=seed),
         )
-    except InfeasibleError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(2)
-    except _NUMERICAL as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(3)
-    payload = {
-        "M": modes,
-        "n_th": nth,
-        "N_tot": n_tot,
-        "theta_hd": hd.theta_star,
-        "xi_hd": report.xi_hd,
-        "empirical_var": report.empirical_var,
-        "crb": report.crb,
-        "ratio": report.ratio,
-        "ci95": list(report.ci95),
-        "samples": samples,
-        "trials": trials,
-        "seed": seed,
-    }
-    _echo_json(payload)
+        _echo_json(
+            {
+                "M": modes,
+                "n_th": nth,
+                "N_tot": n_tot,
+                "theta_hd": hd.theta_star,
+                "xi_hd": report.xi_hd,
+                "empirical_var": report.empirical_var,
+                "crb": report.crb,
+                "ratio": report.ratio,
+                "ci95": list(report.ci95),
+                "samples": samples,
+                "trials": trials,
+                "seed": seed,
+            }
+        )
 
 
 if __name__ == "__main__":

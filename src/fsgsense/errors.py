@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The CLI maps InfeasibleError to exit 2 and every other FsgSenseError to
+exit 3.
+"""
 
 
 class FsgSenseError(Exception):
@@ -6,11 +10,7 @@ class FsgSenseError(Exception):
 
 
 class DomainError(FsgSenseError):
-    """Input lies outside the mathematical domain of an operation."""
-
-
-class PhysicalityError(FsgSenseError):
-    """A covariance matrix violates the Gaussian uncertainty relation."""
+    """An argument lies outside the domain of an operation."""
 
 
 class InfeasibleError(FsgSenseError):
@@ -18,24 +18,6 @@ class InfeasibleError(FsgSenseError):
 
 
 class NumericalError(FsgSenseError):
-    """A numeric routine failed to converge or lost conditioning."""
-
-
-class ConvergenceError(FsgSenseError):
-    """An iterative search stalled or terminated on a bracket boundary."""
-
-
-class SingularError(FsgSenseError):
-    """A Fisher matrix is numerically zero and cannot be inverted."""
-
-
-class OutOfRangeError(FsgSenseError):
-    """Requested weight vector leaves the range of a rank-deficient Fisher matrix."""
-
-
-class UndefinedError(FsgSenseError):
-    """The requested quantity is a 0/0 expression for this input."""
-
-
-class DegenerateError(FsgSenseError):
-    """The optimization objective vanishes identically."""
+    """A computation has no usable result: a search did not converge, a
+    Fisher matrix is singular or vanishes, a quantity is 0/0, or a
+    covariance matrix is not physical."""

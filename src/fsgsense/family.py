@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, InfeasibleError
 from .symplectic import fsg_symplectic_eigenvalues
 
@@ -65,12 +64,6 @@ class FsgBlocks:
             )
 
 
-@dataclass(frozen=True)
-class SolveSResult:
-    s: float
-    feasible: bool
-
-
 def chart_blocks(m, nu, s, t):
     """Covariance entries (eps1, eps2, gam1, gam2) of the chart (M, nu, s, t).
 
@@ -116,11 +109,15 @@ def total_photons(blocks: FsgBlocks) -> float:
 
 def check_budget(M: int, n_th: float, N_tot: float) -> None:
     """Raise DomainError for a negative budget, InfeasibleError for one
-    below the thermal floor M * n_th."""
+    below the thermal floor M * n_th.
+
+    The rule is strict and exact in floating point, N_tot < M * n_th, so
+    that every command and the CSV's feasible column agree on it.
+    """
     if N_tot < 0.0:
         raise DomainError(f"N_tot must be >= 0, got {N_tot}")
     floor = M * n_th
-    if N_tot < floor * (1.0 - 1e-12) - 1e-15:
+    if N_tot < floor:
         raise InfeasibleError(
             f"photon budget N_tot={N_tot} below thermal floor M*n_th={floor}"
         )
@@ -136,25 +133,12 @@ def squeezed_photons(M, n_th, N_tot):
     return np.maximum(N_tot - M * n_th, 0.0) / (1.0 + 2.0 * n_th)
 
 
-def solve_s(M: int, n_th: float, N_tot: float, t: float) -> SolveSResult:
-    """Solve the photon constraint for s >= 0 at fixed t.
-
-    sinh^2 s = N_eff - (M-1) sinh^2 t (see squeezed_photons).  Returns
-    feasible=False when |t| exceeds the budget.  Raises InfeasibleError
-    when the budget is below the thermal floor M * n_th.
-    """
-    check_budget(M, n_th, N_tot)
-    n_eff = squeezed_photons(M, n_th, N_tot)
-    if (M - 1) * np.sinh(t) ** 2 > n_eff + 5e-13:
-        return SolveSResult(s=0.0, feasible=False)
-    return SolveSResult(s=float(kernels.family_states(t, M, n_eff)), feasible=True)
-
-
 def free_parameter_range(M: int, n_th: float, N_tot: float) -> float:
     """Largest |t| compatible with the photon budget.
 
-    (M-1) sinh^2(t_max) = N_eff (see squeezed_photons); the feasible set of
-    solve_s on the s >= 0 branch is exactly [-t_max, t_max].
+    (M-1) sinh^2(t_max) = N_eff (see squeezed_photons); the photon
+    constraint has a solution s >= 0 (kernels.family_states) exactly for
+    t in [-t_max, t_max].
     """
     check_budget(M, n_th, N_tot)
     return float(np.arcsinh(np.sqrt(squeezed_photons(M, n_th, N_tot) / (M - 1))))
@@ -184,15 +168,3 @@ def tmsv_blocks(N_tot: float) -> FsgBlocks:
         raise DomainError(f"N_tot must be >= 0, got {N_tot}")
     g = float(np.sqrt(N_tot * (N_tot + 2.0)))
     return FsgBlocks(M=2, eps1=1.0 + N_tot, eps2=1.0 + N_tot, gam1=g, gam2=-g)
-
-
-def privacy_condition_residual(blocks: FsgBlocks) -> float:
-    """Residual of the perfect-privacy condition for pure FSG states.
-
-    residual = (gam1^2 + gam2^2) - (eps1^2 + eps2^2 - 2); zero exactly at
-    the states whose pure-state Fisher matrix is proportional to the
-    all-ones matrix (TMSV for any photon budget).
-    """
-    return float(
-        (blocks.gam1**2 + blocks.gam2**2) - (blocks.eps1**2 + blocks.eps2**2 - 2.0)
-    )

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceError, DegenerateError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .family import FsgBlocks, FsgParams
 from .metrology import StructuredFim
 
@@ -216,12 +216,12 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
 def optimize_homodyne_angle(params: FsgParams) -> HomodyneOpt:
     """Best common homodyne angle in (0, pi/2); see optimize_homodyne_angles.
 
-    Raises DegenerateError when the homodyne Fisher matrix vanishes at
+    Raises NumericalError when the homodyne Fisher matrix vanishes at
     every angle.
     """
     (best,) = optimize_homodyne_angles([params])
     if best is None:
-        raise DegenerateError("homodyne Fisher matrix vanishes for every angle")
+        raise NumericalError("homodyne Fisher matrix vanishes for every angle")
     return best
 
 
@@ -254,7 +254,7 @@ def mc_estimate(params: FsgParams, theta_hd: float, mc: McConfig) -> McReport:
     n = mc.n_samples
     xi_hd = float(chart_homodyne_coeffs(m, params.s, params.t, _z_of(theta_hd))[2])
     if xi_hd <= 0.0:
-        raise DegenerateError("homodyne Fisher information vanishes at this angle")
+        raise NumericalError("homodyne Fisher information vanishes at this angle")
     crb = 1.0 / (n * xi_hd)
     if crb < _MLE_TOL**2:
         raise NumericalError(
@@ -278,7 +278,7 @@ def mc_estimate(params: FsgParams, theta_hd: float, mc: McConfig) -> McReport:
     )
     if np.any(boundary):
         first = int(np.flatnonzero(boundary)[0])
-        raise ConvergenceError(
+        raise NumericalError(
             f"likelihood search hit the bracket boundary in trial {first}"
         )
 
@@ -363,7 +363,7 @@ def _chi2_quantile(p: float, dof: float) -> float:
     Newton in ln x on the smaller tail, P for p < 0.5 and Q otherwise, from
     the Wilson-Hilferty start; both ln P and ln Q are concave in ln x, so
     the iteration cannot overshoot away from the root.  Raises
-    ConvergenceError after _CHI2_MAX_ITER steps.
+    NumericalError after _CHI2_MAX_ITER steps.
     """
     a = 0.5 * dof
     lower = p < 0.5
@@ -387,6 +387,6 @@ def _chi2_quantile(p: float, dof: float) -> float:
         x *= math.exp(step)
         if abs(step) < 1e-11:
             return 2.0 * x
-    raise ConvergenceError(
+    raise NumericalError(
         f"chi-square quantile did not converge (p={p}, dof={dof})"
     )

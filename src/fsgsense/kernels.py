@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import NumericalError
 
 MAX_GOLDEN_ITER = 200
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -33,7 +33,7 @@ def golden_max(f, lo, hi, tol):
     f(x, rows) returns the objective at the points x of the brackets with
     indices rows.  Each step moves every bracket still wider than tol and
     evaluates only those; NaN values compare false, as in the scalar
-    algorithm.  Raises ConvergenceError when a bracket is still open after
+    algorithm.  Raises NumericalError when a bracket is still open after
     MAX_GOLDEN_ITER steps.
 
     Returns (x, a, b, iterations): the better final interior point, the
@@ -52,7 +52,7 @@ def golden_max(f, lo, hi, tol):
     while rows.size:
         if step == MAX_GOLDEN_ITER:
             width = float(np.max(state[1, rows] - state[0, rows]))
-            raise ConvergenceError(
+            raise NumericalError(
                 f"golden-section refinement stalled at width {width:.3e}"
             )
         a, b, x1, x2, f1, f2 = state[:, rows]

@@ -2,24 +2,17 @@
 
 The quantum Fisher information matrix of an isothermal FSG state has the
 structured form F = a I + b J (J is the all-ones matrix), which this module
-stores as two scalars.  A dense numeric QFIM oracle for arbitrary zero-mean
-Gaussian states is provided for validation.
+stores as two scalars.  A dense numeric QFIM of any zero-mean Gaussian
+state (qfim_fsg_numeric) serves as the oracle for the closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NumericalError,
-    OutOfRangeError,
-    SingularError,
-    UndefinedError,
-)
+from .errors import DomainError, NumericalError
 from .family import FsgBlocks
 from .symplectic import CovarianceState, fsg_symplectic_eigenvalues, symplectic_form
 
@@ -202,14 +195,14 @@ def fim_inverse(fim: StructuredFim) -> FimInverse:
     if a > TOL_RANK * scale:
         full = a + m * b
         if full <= TOL_RANK * scale:
-            raise SingularError(
+            raise NumericalError(
                 f"structured Fisher matrix rank-deficient along 1: a={a}, b={b}"
             )
         return FimInverse(M=m, kind="regular", alpha=1.0 / a, beta=-b / (a * full))
     if b > TOL_RANK * scale:
         coeff = 1.0 / (m * m * b)
         return FimInverse(M=m, kind="pseudo", alpha=0.0, beta=coeff)
-    raise SingularError(f"Fisher matrix numerically zero: a={a}, b={b}")
+    raise NumericalError(f"Fisher matrix numerically zero: a={a}, b={b}")
 
 
 def precision(fim: StructuredFim, weights: WeightVector) -> float:
@@ -224,14 +217,14 @@ def precision(fim: StructuredFim, weights: WeightVector) -> float:
     m, a, b = fim.M, fim.a, fim.b
     if weights.is_mean:
         if a + m * b <= 0.0:
-            raise SingularError(f"Fisher matrix numerically zero: a={a}, b={b}")
+            raise NumericalError(f"Fisher matrix numerically zero: a={a}, b={b}")
         return float(xi_from_ab(a, b, m))
     inv = fim_inverse(fim)
     if inv.kind == "pseudo":
         # range(F) = span(1); anything off the uniform direction is invisible
         resid = weights.w - 1.0 / m
         if float(np.linalg.norm(resid)) > 1e-9:
-            raise OutOfRangeError(
+            raise NumericalError(
                 "weight vector leaves the range of a rank-one Fisher matrix"
             )
         return float(m * m * b)
@@ -245,21 +238,21 @@ def privacy(fim: StructuredFim | np.ndarray, weights: WeightVector) -> float:
     Structured inputs use the specialization
     P = (||w||_2^2 a + b) / (M ||w||_2^2 (a + b)); dense PSD matrices are
     evaluated directly (an extension used for reporting the homodyne FIM).
-    Raises UndefinedError on a vanishing trace (vacuum: 0/0).
+    Raises NumericalError on a vanishing trace (vacuum: 0/0).
     """
     if isinstance(fim, StructuredFim):
         if fim.M != weights.M:
             raise DomainError("Fisher matrix and weight vector sizes differ")
         trace = fim.M * (fim.a + fim.b)
         if trace <= 1e-300:
-            raise UndefinedError("privacy undefined: Fisher matrix has zero trace")
+            raise NumericalError("privacy undefined: Fisher matrix has zero trace")
         return float(privacy_from_ab(fim.a, fim.b, fim.M, weights.norm2_sq))
     dense = np.asarray(fim, dtype=float)
     if dense.shape != (weights.M, weights.M):
         raise DomainError("Fisher matrix and weight vector sizes differ")
     trace = float(np.trace(dense))
     if trace <= 1e-300:
-        raise UndefinedError("privacy undefined: Fisher matrix has zero trace")
+        raise NumericalError("privacy undefined: Fisher matrix has zero trace")
     return float((weights.w @ dense @ weights.w) / (weights.norm2_sq * trace))
 
 
@@ -290,32 +283,20 @@ def weight_matrix_spectrum(weights: WeightVector) -> WeightSpectrum:
     )
 
 
-def phase_shift_generators(state: CovarianceState) -> list[np.ndarray]:
-    """Derivatives dV/dtheta_j at zero angles for local phase encoding."""
-    m = state.modes
-    gen = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = []
-    for j in range(m):
-        G = np.zeros((2 * m, 2 * m))
-        G[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = gen
-        out.append(G @ state.V + state.V @ G.T)
-    return out
+def qfim_fsg_numeric(state: CovarianceState, rcond: float = 1e-10) -> np.ndarray:
+    """Dense numeric QFIM oracle of a zero-mean Gaussian state under local
+    phase shifts on every mode.
 
-
-def qfim_general_gaussian(
-    state: CovarianceState, dV: Sequence[np.ndarray], rcond: float = 1e-10
-) -> np.ndarray:
-    """Numeric QFIM oracle for zero-mean Gaussian states.
-
-    F_jk = vec(dV_j)^T (V (x) V - Omega (x) Omega)^+ vec(dV_k) / 2,
-    evaluated through a symmetric eigendecomposition with eigenvalues below
+    F_jk = vec(dV_j)^T (V (x) V - Omega (x) Omega)^+ vec(dV_k) / 2, with
+    dV_j = G_j V + V G_j^T and G_j = [[0, 1], [-1, 0]] on mode j, evaluated
+    through a symmetric eigendecomposition with eigenvalues below
     rcond * max clipped (the Moore-Penrose regularization needed for pure
     and near-pure states).  Calibrated against the single-mode pure
     squeezed-vacuum value 8 N (N + 1).
     """
-    m = state.modes
+    m, V = state.modes, state.V
     omega = symplectic_form(m)
-    big = np.kron(state.V, state.V) - np.kron(omega, omega)
+    big = np.kron(V, V) - np.kron(omega, omega)
     try:
         vals, vecs = np.linalg.eigh(big)
     except np.linalg.LinAlgError as exc:
@@ -325,42 +306,13 @@ def qfim_general_gaussian(
         raise NumericalError("QFIM kernel is numerically zero")
     keep = np.abs(vals) > cutoff
     inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    mats = []
-    for k, dv in enumerate(dV):
-        dv = np.asarray(dv, dtype=float)
-        if not np.allclose(dv, dv.T, rtol=0.0, atol=1e-10):
-            raise DomainError(f"derivative matrix {k} is not symmetric")
-        mats.append(dv.T.reshape(-1))
-    vec = np.array(mats)  # (P, 4 M^2)
+    # G_j V maps the rows (x_j, p_j) of V to (p_j, -x_j); V G_j^T is its
+    # transpose, so every dV_j is symmetric
+    j = np.arange(m)
+    gv = np.zeros((m, 2 * m, 2 * m))
+    gv[j, 2 * j] = V[2 * j + 1]
+    gv[j, 2 * j + 1] = -V[2 * j]
+    vec = (gv + gv.transpose(0, 2, 1)).reshape(m, -1)  # (M, 4 M^2)
     proj = vec @ vecs
     fim = 0.5 * (proj * inv_vals) @ proj.T
     return 0.5 * (fim + fim.T)
-
-
-def qfim_fsg_numeric(state: CovarianceState, rcond: float = 1e-10) -> np.ndarray:
-    """Oracle QFIM of a state under local phase shifts on every mode."""
-    return qfim_general_gaussian(state, phase_shift_generators(state), rcond=rcond)
-
-
-__all__ = [
-    "StructuredFim",
-    "WeightVector",
-    "FimInverse",
-    "WeightSpectrum",
-    "mean_weights",
-    "qfim_fsg",
-    "chart_fisher_coeffs",
-    "fisher_coeffs",
-    "xi_from_ab",
-    "privacy_from_ab",
-    "one_minus_privacy_from_ab",
-    "fim_inverse",
-    "precision",
-    "privacy",
-    "closed_form_privacy_of_optimum",
-    "weight_matrix_spectrum",
-    "phase_shift_generators",
-    "qfim_general_gaussian",
-    "qfim_fsg_numeric",
-    "TOL_RANK",
-]

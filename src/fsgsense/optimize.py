@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .family import FsgParams, free_parameter_range, squeezed_photons
 from .metrology import (
     StructuredFim,
@@ -41,8 +41,6 @@ MAX_CHART_N = 1e150
 @dataclass(frozen=True)
 class OptResult:
     objective: str  # "precision" | "privacy"
-    t_star: float
-    s_star: float
     params: FsgParams  # the optimum's chart (M, n_th, s, t)
     fim: StructuredFim  # the QFIM of the state, from its chart
     xi: float
@@ -127,14 +125,15 @@ def optimize_batch(
     s_star = kernels.family_states(t_star, m, n_eff)
     a, b, xi, omp = _chart_values(m, nu, n2, s_star, t_star)
     p = privacy_from_ab(a, b, m, n2)
-    # the precision optimum is the t = 0 state
+    # the precision optimum is the t = 0 state (see the docstring), so a
+    # ratio above 1 is rounding between two closed-form evaluations and is
+    # clamped
     best_xi = _chart_values(m, nu, n2, kernels.family_states(0.0, m, n_eff), 0.0)[2]
     ratio = np.divide(xi, best_xi, out=np.ones(len(rows)), where=best_xi > 0.0)
+    ratio = np.minimum(ratio, 1.0)
     return [
         OptResult(
             objective=objective,
-            t_star=float(t_star[i]),
-            s_star=float(s_star[i]),
             params=FsgParams(M=M, n_th=nth, s=float(s_star[i]), t=float(t_star[i])),
             fim=StructuredFim(M=M, a=float(a[i]), b=float(b[i])),
             xi=float(xi[i]),
@@ -167,7 +166,7 @@ def scan_free_parameter(
 ) -> list[ScanPoint]:
     """Raw (t, xi, privacy) curve on a uniform grid over [-t_max, t_max]."""
     if grid_points < 3:
-        raise ConvergenceError(f"grid_points must be >= 3, got {grid_points}")
+        raise DomainError(f"grid_points must be >= 3, got {grid_points}")
     t_max = free_parameter_range(M, n_th, N_tot)
     ts = np.linspace(-t_max, t_max, grid_points)
     nu, n2 = 1.0 + 2.0 * n_th, 1.0 / M

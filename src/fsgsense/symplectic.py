@@ -7,12 +7,12 @@ covariance matrix V is the uncertainty relation V + i*Omega >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, PhysicalityError
+from .errors import DomainError, NumericalError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .family import FsgBlocks
@@ -41,7 +41,6 @@ class CovarianceState:
 
     modes: int
     V: np.ndarray
-    d: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.modes < 1:
@@ -55,9 +54,6 @@ class CovarianceState:
         V = 0.5 * (V + V.T)
         V.setflags(write=False)
         object.__setattr__(self, "V", V)
-        d = np.zeros(n)
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ def assemble_covariance(blocks: "FsgBlocks") -> CovarianceState:
     """Build the 2M x 2M covariance with diag blocks diag(eps1, eps2) and
     off-diagonal blocks diag(gam1, gam2).
 
-    Raises PhysicalityError if the result violates the uncertainty relation.
+    Raises NumericalError if the result violates the uncertainty relation.
     """
     m = blocks.M
     eps = np.diag([blocks.eps1, blocks.eps2])
@@ -87,7 +83,7 @@ def assemble_covariance(blocks: "FsgBlocks") -> CovarianceState:
     state = CovarianceState(modes=m, V=V)
     report = physicality_check(state)
     if not report.physical:
-        raise PhysicalityError(
+        raise NumericalError(
             f"assembled covariance is non-physical (min eig {report.min_eig:.3e})"
         )
     return state

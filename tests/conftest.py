@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from fsgsense.errors import ConvergenceError
+from fsgsense.errors import NumericalError
 from fsgsense.homodyne import homodyne_cov, homodyne_cov_derivatives
 
 _CRITERION_LINES: dict[int, str] = {}
@@ -79,7 +79,7 @@ def scalar_golden_max(f, lo, hi, tol, max_iter=200):
     iterations = 0
     while b - a > tol:
         if iterations >= max_iter:
-            raise ConvergenceError(f"stalled at width {b - a:.3e}")
+            raise NumericalError(f"stalled at width {b - a:.3e}")
         if f1 > f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv * (b - a)

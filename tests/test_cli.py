@@ -1,5 +1,7 @@
 import ast
 import csv
+import importlib
+import inspect
 import json
 import math
 import os
@@ -16,6 +18,7 @@ from conftest import same_fields
 import fsgsense
 from fsgsense import cli
 from fsgsense.cli import CSV_FIELDS, compute_record, main
+from fsgsense.errors import DomainError, InfeasibleError, NumericalError
 from fsgsense.family import FsgBlocks
 
 
@@ -108,6 +111,143 @@ def test_no_module_imports_scipy():
                 continue
             found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
     assert found == []
+
+
+PRODUCT_API = {
+    "maximize_precision", "maximize_privacy", "optimize_batch", "OptResult",
+    "FsgParams", "StructuredFim", "optimize_homodyne_angle",
+    "optimize_homodyne_angles", "HomodyneOpt", "homodyne_fim", "mc_estimate",
+    "McConfig", "McReport", "FsgSenseError", "DomainError", "InfeasibleError",
+    "NumericalError",
+}
+# the dense references perfbench/checks.py imports from the top level
+BENCHMARK_ORACLES = {
+    "FsgBlocks", "homodyne_cov", "homodyne_cov_derivatives", "qfim_fsg_numeric",
+    "scan_free_parameter",
+}
+
+
+def test_top_level_exports_the_product_api_and_the_benchmark_oracles():
+    public = {
+        name
+        for name, value in vars(fsgsense).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == PRODUCT_API | BENCHMARK_ORACLES
+
+
+def test_benchmark_imports_resolve():
+    # perfbench imports these names; a refactor that drops one breaks the
+    # benchmark run, not a test there
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    missing = []
+    for name in ("checks.py", "run.py"):
+        path = perfbench / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                pairs = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                pairs = [(node.module or "", alias.name) for alias in node.names]
+            else:
+                continue
+            for module, attr in pairs:
+                if module.split(".")[0] != "fsgsense":
+                    continue
+                found = importlib.import_module(module)
+                if attr is not None and not hasattr(found, attr):
+                    try:
+                        importlib.import_module(f"{module}.{attr}")
+                    except ImportError:
+                        missing.append(f"{name}:{node.lineno} {module}.{attr}")
+    assert missing == []
+    # the bindings perfbench/tracer.py wraps
+    for attr in ("compute_record", "_run_sweep", "_write_csv", "maximize_privacy",
+                 "optimize_homodyne_angle", "mc_estimate"):
+        assert callable(getattr(cli, attr)), attr
+
+
+# ------------------------------------------------------------- exit codes
+
+
+def _command(name, tmp_path):
+    """argv of a quick run of one command, and the engine call it makes."""
+    if name == "state":
+        return ["state", "--M", "2", "--nth", "0", "--N", "1"], "compute_record"
+    if name == "sweep":
+        config, _ = _sweep_config(tmp_path)
+        return ["sweep", "--config", str(config)], "_run_sweep"
+    if name == "figures":
+        return ["figures", "--outdir", str(tmp_path / "figs"), "--which", "2"], "_run_sweep"
+    return MC_SMALL, "maximize_privacy"
+
+
+@pytest.mark.parametrize("command", ["state", "sweep", "figures", "mc"])
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (InfeasibleError, 2, "infeasible: "),
+        (NumericalError, 3, "numerical failure: "),
+        (DomainError, 3, "numerical failure: "),
+        (OSError, 4, "I/O failure: "),
+    ],
+)
+def test_exit_code_contract(runner, tmp_path, monkeypatch, command, error, code, prefix):
+    argv, engine = _command(command, tmp_path)
+    if error is OSError:
+        # the output path fails: a file where the CSV's directory should
+        # be, or a closed stdout pipe
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        if command == "sweep":
+            argv += ["--out", str(blocker / "out.csv")]
+        elif command == "figures":
+            argv[2] = str(blocker)
+        else:
+
+            def broken_pipe(payload):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            monkeypatch.setattr(cli, "_echo_json", broken_pipe)
+    else:
+
+        def fail(*args, **kwargs):
+            raise error("engine failed")
+
+        monkeypatch.setattr(cli, engine, fail)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), result.stderr
+    if error is not OSError:
+        assert lines[0] == prefix + "engine failed"
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("nth, n_tot", [("1", "2.9999999999997"), ("0.1", "0.3")])
+def test_every_command_applies_one_thermal_floor(runner, tmp_path, nth, n_tot):
+    # N_tot sits below M n_th by less than a rounding margin (3 * 0.1 is
+    # 0.30000000000000004): every command calls it infeasible
+    point = ["--M", "3", "--nth", nth, "--N", n_tot]
+    for argv in (["state", *point], ["mc", *point, "--samples", "100", "--trials", "10"]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("infeasible: ")
+    n = float(n_tot)
+    config, cfg = _sweep_config(
+        tmp_path,
+        M_list=[3],
+        n_th_list=[float(nth)],
+        N_grid={"min": n, "max": n, "points": 1, "spacing": "linear"},
+    )
+    result = runner.invoke(main, ["sweep", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    with open(cfg["output"], newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(float(row["N_tot"]), row["feasible"], row["xi"]) for row in rows] == [
+        (n, "false", "")
+    ] * 2
 
 
 # ------------------------------------------------------------------- state

@@ -3,19 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsgsense import kernels
 from fsgsense.errors import DomainError, InfeasibleError
 from fsgsense.family import (
     FsgBlocks,
     FsgParams,
     blocks_from_params,
+    check_budget,
     free_parameter_range,
     optimal_precision_blocks,
     params_from_blocks,
-    privacy_condition_residual,
-    solve_s,
+    squeezed_photons,
     tmsv_blocks,
     total_photons,
 )
+from fsgsense.metrology import mean_weights, privacy, qfim_fsg
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -67,38 +69,40 @@ def test_total_photons_identity(m, n_th, s, t):
     assert total_photons(blocks) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_solve_s_inverts_the_photon_constraint(rng):
+def test_family_states_solve_the_photon_constraint(rng):
     for _ in range(100):
         m = int(rng.integers(2, 7))
         n_th = float(rng.uniform(0.0, 3.0))
         n_tot = float(rng.uniform(m * n_th + 0.1, m * n_th + 50.0))
         t_max = free_parameter_range(m, n_th, n_tot)
         t = float(rng.uniform(-t_max, t_max))
-        sol = solve_s(m, n_th, n_tot, t)
-        assert sol.feasible
-        assert sol.s >= 0.0
-        blocks = blocks_from_params(FsgParams(M=m, n_th=n_th, s=sol.s, t=t))
+        s = float(kernels.family_states(t, m, squeezed_photons(m, n_th, n_tot)))
+        assert s >= 0.0
+        blocks = blocks_from_params(FsgParams(M=m, n_th=n_th, s=s, t=t))
         assert total_photons(blocks) == pytest.approx(n_tot, rel=1e-9, abs=1e-9)
 
 
-def test_solve_s_flags_t_beyond_the_budget():
+def test_free_parameter_range_bounds_the_photon_constraint():
+    # beyond t_max the t modes alone hold more squeezed photons than N_eff
     t_max = free_parameter_range(3, 0.0, 5.0)
-    sol = solve_s(3, 0.0, 5.0, 1.5 * t_max + 0.1)
-    assert not sol.feasible
+    n_eff = squeezed_photons(3, 0.0, 5.0)
+    assert 2 * np.sinh(t_max) ** 2 == pytest.approx(n_eff, rel=1e-12)
+    assert 2 * np.sinh(1.5 * t_max + 0.1) ** 2 > n_eff
 
 
-def test_solve_s_endpoint_gives_zero_s():
+def test_family_states_endpoint_gives_zero_s():
     t_max = free_parameter_range(4, 1.0, 30.0)
-    sol = solve_s(4, 1.0, 30.0, t_max)
-    assert sol.feasible
-    assert sol.s == pytest.approx(0.0, abs=1e-6)
+    s = kernels.family_states(t_max, 4, squeezed_photons(4, 1.0, 30.0))
+    assert s == pytest.approx(0.0, abs=1e-6)
 
 
 def test_thermal_floor_raises():
     with pytest.raises(InfeasibleError):
-        solve_s(4, 5.0, 10.0, 0.0)
-    with pytest.raises(InfeasibleError):
         free_parameter_range(4, 5.0, 10.0)
+    # the rule is exact: 3 * 0.1 rounds to 0.30000000000000004 > 0.3
+    with pytest.raises(InfeasibleError):
+        check_budget(3, 0.1, 0.3)
+    check_budget(2, 5.0, 10.0)
 
 
 def test_free_parameter_range_zero_at_the_floor():
@@ -120,12 +124,7 @@ def test_tmsv_blocks(n_tot):
     blocks = tmsv_blocks(n_tot)
     assert blocks.M == 2
     assert total_photons(blocks) == pytest.approx(n_tot, rel=1e-12)
-    assert privacy_condition_residual(blocks) == pytest.approx(0.0, abs=1e-9 * (1 + n_tot) ** 2)
+    assert privacy(qfim_fsg(blocks), mean_weights(2)) == pytest.approx(1.0, abs=1e-12)
     params = params_from_blocks(blocks)
     assert params.n_th == pytest.approx(0.0, abs=1e-9)
     assert params.s == pytest.approx(-params.t, rel=1e-9)
-
-
-def test_privacy_condition_residual_nonzero_off_the_tmsv_manifold():
-    blocks = optimal_precision_blocks(2, 1.0)
-    assert abs(privacy_condition_residual(blocks)) > 1e-3

@@ -4,12 +4,11 @@ from conftest import dense_homodyne_fim, scalar_golden_max
 from scipy.optimize import minimize_scalar
 
 from fsgsense import kernels
-from fsgsense.errors import ConvergenceError
+from fsgsense.errors import NumericalError
 from fsgsense.family import (
     FsgParams,
     blocks_from_params,
     free_parameter_range,
-    solve_s,
     squeezed_photons,
 )
 from fsgsense.homodyne import (
@@ -28,9 +27,10 @@ def test_family_scan_matches_scalar_path(m, n_th, n_tot):
     nu = 1.0 + 2.0 * n_th
     t_max = free_parameter_range(m, n_th, n_tot)
     ts = np.linspace(-t_max, t_max, 41)
-    s_arr = kernels.family_states(ts, m, squeezed_photons(m, n_th, n_tot))
+    n_eff = squeezed_photons(m, n_th, n_tot)
+    s_arr = kernels.family_states(ts, m, n_eff)
     for i, t in enumerate(ts):
-        assert s_arr[i] == pytest.approx(solve_s(m, n_th, n_tot, float(t)).s, abs=1e-12)
+        assert s_arr[i] == pytest.approx(kernels.family_states(float(t), m, n_eff), abs=1e-12)
     # the photon constraint in its covariance form
     photons = nu * (np.cosh(2.0 * s_arr) + (m - 1) * np.cosh(2.0 * ts))
     assert photons == pytest.approx(np.full(ts.size, 2.0 * n_tot + m), rel=1e-12)
@@ -142,8 +142,8 @@ def test_qfim_consistency_between_kernel_scan_and_closed_form():
     s_arr = kernels.family_states(ts, m, squeezed_photons(m, n_th, n_tot))
     a, b = chart_fisher_coeffs(m, nu, s_arr, ts)
     for i, t in enumerate(ts):
-        sol = solve_s(m, n_th, n_tot, float(t))
-        fim = qfim_fsg(blocks_from_params(FsgParams(M=m, n_th=n_th, s=sol.s, t=float(t))))
+        params = FsgParams(M=m, n_th=n_th, s=float(s_arr[i]), t=float(t))
+        fim = qfim_fsg(blocks_from_params(params))
         assert a[i] + b[i] == pytest.approx(fim.f11, rel=1e-9)
         assert b[i] == pytest.approx(fim.f12, rel=1e-9)
 
@@ -174,7 +174,7 @@ def test_golden_max_matches_the_scalar_loop():
 
 
 def test_golden_max_gives_up_after_the_step_limit():
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(NumericalError, match="golden-section refinement stalled"):
         kernels.golden_max(
             lambda x, rows: -x * x, np.array([-1.0]), np.array([1.0]), -1.0
         )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsgsense import kernels
-from fsgsense.errors import ConvergenceError, DomainError, InfeasibleError
+from fsgsense.errors import DomainError, InfeasibleError
 from fsgsense.family import (
     blocks_from_params,
     free_parameter_range,
@@ -32,7 +32,7 @@ from fsgsense.optimize import (
 def test_precision_optimum_pure_anchor():
     result = maximize_precision(2, 0.0, 1.0)
     assert result.objective == "precision"
-    assert result.t_star == 0.0
+    assert result.params.t == 0.0
     assert result.xi == pytest.approx(16.0, rel=1e-8)
     assert result.privacy == pytest.approx(0.8, rel=1e-8)
 
@@ -41,7 +41,7 @@ def test_precision_optimum_pure_anchor():
 @pytest.mark.parametrize("n_tot", [0.5, 1.0, 10.0, 100.0])
 def test_precision_optimum_reaches_ultimate_bound(m, n_tot):
     result = maximize_precision(m, 0.0, n_tot)
-    assert result.t_star == pytest.approx(0.0, abs=1e-8)
+    assert result.params.t == pytest.approx(0.0, abs=1e-8)
     assert result.xi == pytest.approx(8.0 * n_tot * (n_tot + 1.0), rel=1e-8)
     assert result.privacy == pytest.approx(
         closed_form_privacy_of_optimum(m, n_tot), rel=1e-8
@@ -54,7 +54,7 @@ def test_precision_thermal_state_stays_below_pure_bound():
     result = maximize_precision(3, 1.0, 50.0)
     assert result.xi < 8.0 * 50.0 * 51.0
     assert result.xi > 0.0
-    assert result.t_star == pytest.approx(0.0, abs=1e-6)
+    assert result.params.t == pytest.approx(0.0, abs=1e-6)
 
 
 def test_privacy_optimum_beats_unoptimized_privacy():
@@ -113,7 +113,7 @@ def test_scan_free_parameter_shape_and_symmetric_grid():
 
 
 def test_scan_rejects_tiny_grid():
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(DomainError, match="grid_points must be >= 3"):
         scan_free_parameter(3, 0.0, 5.0, 2)
 
 
@@ -127,7 +127,7 @@ def test_infeasible_budget_raises():
 def test_budget_exactly_at_the_thermal_floor_degenerates():
     # all photons are thermal: no squeezing left, no information
     result = maximize_precision(4, 5.0, 20.0)
-    assert result.t_star == 0.0
+    assert result.params.t == 0.0
     assert result.xi == 0.0
     assert math.isnan(result.privacy)
 
@@ -194,7 +194,7 @@ def test_one_minus_privacy_matches_fifty_digits(m, n_tot):
     # 1.0 - privacy lost up to 3.3e-10 relative here; the closed form keeps
     # 1 - P to a few ulp, at the optimum and against the true minimum
     result = maximize_privacy(m, 0.0, n_tot)
-    exact = _exact_one_minus_privacy(m, result.s_star, result.t_star)
+    exact = _exact_one_minus_privacy(m, result.params.s, result.params.t)
     assert float(abs(result.one_minus_privacy - exact) / exact) <= 1e-14
     with mpmath.workdps(50):
 
@@ -202,7 +202,7 @@ def test_one_minus_privacy_matches_fifty_digits(m, n_tot):
             s = mpmath.asinh(mpmath.sqrt(n_tot - (m - 1) * mpmath.sinh(t) ** 2))
             return _exact_one_minus_privacy(m, s, t)
 
-        t_min = mpmath.findroot(lambda t: mpmath.diff(one_minus_p, t), result.t_star)
+        t_min = mpmath.findroot(lambda t: mpmath.diff(one_minus_p, t), result.params.t)
         best = one_minus_p(t_min)
     assert float(abs(result.one_minus_privacy - best) / best) <= 1e-14
 
@@ -224,16 +224,25 @@ def test_batch_rows_do_not_depend_on_their_neighbours():
     assert optimize_batch([], "privacy") == []
 
 
+def test_ratio_to_best_xi_never_exceeds_one():
+    # at N_eff ~ 1e149 the two closed-form evaluations of xi round in the
+    # privacy optimum's favour (the ratio read 1.0000000000000286); the
+    # t = 0 state is the precision optimum, so no state beats it
+    for result in optimize_batch([(3, 0.0, 1e149), (2, 0.0, 1e3), (5, 1.0, 50.0)], "privacy"):
+        assert 0.0 < result.ratio_to_best_xi <= 1.0
+    assert maximize_privacy(3, 0.0, 1e149).ratio_to_best_xi == 1.0
+
+
 def test_precision_is_the_t0_state_without_search():
     # xi/2k is convex in cosh 2t and xi(0) >= xi(+-t_max), so no search
     rows = [(2, 0.0, 1.0), (2, 0.5, 40.0), (3, 1.0, 50.0), (6, 5.0, 31.0), (50, 0.0, 1e3)]
     for (m, n_th, n_tot), result in zip(rows, optimize_batch(rows, "precision")):
-        assert result.t_star == 0.0 and result.iterations == 0
-        assert result.s_star == float(
+        assert result.params.t == 0.0 and result.iterations == 0
+        assert result.params.s == float(
             kernels.family_states(0.0, m, squeezed_photons(m, n_th, n_tot))
         )
     # xi is flat here: a grid search lands anywhere within ~1e-4 of 0
-    assert maximize_precision(4, 0.0, 1e7).t_star == 0.0
+    assert maximize_precision(4, 0.0, 1e7).params.t == 0.0
 
 
 def _one_minus_privacy_at(m, n_th, n_tot, t):

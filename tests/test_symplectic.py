@@ -38,8 +38,6 @@ def test_symplectic_form_rejects_zero_modes():
 def test_covariance_state_symmetrizes_and_freezes():
     V = np.eye(4)
     state = CovarianceState(modes=2, V=V)
-    assert state.d.shape == (4,)
-    assert not state.d.any()
     with pytest.raises(ValueError):
         state.V[0, 0] = 2.0
 
