@@ -39,7 +39,7 @@ DEFAULT_N_GRID = {"min": 1.0, "max": 1000.0, "points": 25, "spacing": "log"}
 CONFIG_KEYS = {"M_list", "n_th_list", "N_grid", "objective", "homodyne", "output"}
 N_GRID_KEYS = {"min", "max", "points", "spacing"}
 # rows optimized as one batch: each (grid x rows) temporary of the homodyne
-# z scan is at most 78 x 64 doubles on the figure grid (homodyne.Z_STEP)
+# z scan is at most 78 x 64 doubles on the figure grid (kernels.Z_STEP)
 SWEEP_CHUNK_ROWS = 64
 
 
@@ -204,6 +204,11 @@ def _finite_nonnegative(*values: float) -> bool:
     return all(math.isfinite(v) and v >= 0.0 for v in values)
 
 
+def _counts(*values: int) -> bool:
+    """Counts (M, samples) the numeric code takes: 2 <= n <= the largest float."""
+    return all(2 <= v <= sys.float_info.max for v in values)
+
+
 def _is_int(value) -> bool:
     """A JSON integer; bool is an int subclass in Python but not in JSON."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -280,8 +285,8 @@ def main():
 )
 def state(modes, nth, n_tot, objective):
     """Optimize a single configuration and report it as JSON."""
-    if modes < 2 or not _finite_nonnegative(nth, n_tot):
-        raise click.UsageError("need --M >= 2 and finite --nth >= 0 and --N >= 0")
+    if not _counts(modes) or not _finite_nonnegative(nth, n_tot):
+        raise click.UsageError("need 2 <= --M <= 1.8e308, finite --nth >= 0 and --N >= 0")
     with _exit_codes():
         check_budget(modes, nth, n_tot)
         record = compute_record(modes, nth, n_tot, objective, homodyne=True)
@@ -319,8 +324,8 @@ def sweep(config_path, out):
         nth_list = [float(x) for x in nth_list]
     except OverflowError as exc:
         raise click.ClickException(f"n_th_list out of range: {exc}") from exc
-    if any(m < 2 for m in m_list) or not _finite_nonnegative(*nth_list):
-        raise click.ClickException("need M >= 2 and finite n_th >= 0 in the grid")
+    if not _counts(*m_list) or not _finite_nonnegative(*nth_list):
+        raise click.ClickException("need 2 <= M <= 1.8e308 and finite n_th >= 0")
     if not isinstance(out_path, str):
         raise click.ClickException(
             f"need an output path (config 'output' or --out), got {out_path!r}"
@@ -378,16 +383,16 @@ def figures(outdir, which):
 @click.option("--seed", type=int, default=0, show_default=True)
 def mc(modes, nth, n_tot, samples, trials, seed):
     """Monte-Carlo Cramér-Rao check on the privacy-optimized state."""
-    if samples < 2 or trials < 2:
-        raise click.UsageError("--samples and --trials must both be >= 2")
-    if modes < 2 or not _finite_nonnegative(nth, n_tot) or not 0 <= seed < 2**64:
+    if not _counts(samples) or trials < 2:
+        raise click.UsageError("need 2 <= --samples <= 1.8e308 and --trials >= 2")
+    if not _counts(modes) or not _finite_nonnegative(nth, n_tot) or not 0 <= seed < 2**64:
         raise click.UsageError("invalid --M/--nth/--N/--seed")
     with _exit_codes():
         result = maximize_privacy(modes, nth, n_tot)
         hd = optimize_homodyne_angle(result.params)
         report = mc_estimate(
             result.params,
-            hd.theta_star,
+            hd.z_star,
             McConfig(n_samples=samples, trials=trials, seed=seed),
         )
         _echo_json(

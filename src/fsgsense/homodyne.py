@@ -25,14 +25,6 @@ from .errors import DomainError, NumericalError
 from .family import FsgBlocks, FsgParams
 from .metrology import StructuredFim
 
-# the angle search scans z on [min(2s, 2t) - Z_PAD, max(2s, 2t) + Z_PAD]
-# in steps of Z_STEP, then refines to Z_TOL
-Z_STEP = 0.25
-Z_PAD = 2.0
-Z_TOL = 1e-10
-MLE_BRACKET = 0.3
-_MLE_GRID = 121
-_MLE_TOL = 1e-10
 # the rest modes' moment Y / k, Y ~ chi2(k), spreads by sqrt(2 / k); beyond
 # this k, rounding near 1 (1.1e-16) adds over 1e-3 of its variance
 _MAX_REST_DOF = 1e29
@@ -70,9 +62,14 @@ class McReport:
 
 @dataclass(frozen=True)
 class HomodyneOpt:
-    theta_star: float
+    z_star: float
     fim: StructuredFim
     xi_hd: float
+
+    @property
+    def theta_star(self) -> float:
+        """arctan e^{z*} in (0, pi/2); it rounds to pi/2 past z* ~ 36."""
+        return float(np.arctan(np.exp(self.z_star)))
 
 
 def homodyne_cov(
@@ -126,12 +123,6 @@ def homodyne_cov_derivatives(blocks: FsgBlocks, theta_hd: float) -> list[np.ndar
     return out
 
 
-def _sech(u):
-    """sech u without overflow; 0 at u = +-inf."""
-    e = np.exp(-np.abs(u))
-    return 2.0 * e / (1.0 + e * e)
-
-
 def chart_homodyne_coeffs(m, s, t, z):
     """Homodyne Fisher matrix F = a I + b J of the chart state (M, nu, s, t)
     at z = ln|tan theta_hd|, and xi_hd = 1^T F 1; array-aware.
@@ -146,7 +137,7 @@ def chart_homodyne_coeffs(m, s, t, z):
     None of them depends on nu.  Each peak of xi_hd has unit width in z
     whatever s and t are, and z = +-inf (theta_hd = 0 or pi/2) gives zeros.
     """
-    sech_s, sech_t = _sech(z - 2.0 * s), _sech(z - 2.0 * t)
+    sech_s, sech_t = kernels.sech(z - 2.0 * s), kernels.sech(z - 2.0 * t)
     sinh_s, sinh_t = np.sinh(2.0 * s), np.sinh(2.0 * t)
     r_s, r_t = 2.0 * sinh_s * sech_s, 2.0 * sinh_t * sech_t
     xi = 0.5 * ((m - 1.0) * r_t * r_t + r_s * r_s)
@@ -154,16 +145,12 @@ def chart_homodyne_coeffs(m, s, t, z):
     return a, (xi / m - a) / m, xi
 
 
-def _z_of(theta_hd: float) -> float:
-    """z = ln|tan theta_hd|; -inf at theta_hd = 0."""
-    with np.errstate(divide="ignore"):
-        return float(np.log(np.abs(np.tan(theta_hd))))
-
-
 def homodyne_fim(params: FsgParams, theta_hd: float) -> StructuredFim:
     """Classical Fisher matrix of equal-angle homodyne detection on the
     chart state params, in its a I + b J form (chart_homodyne_coeffs)."""
-    a, b, _ = chart_homodyne_coeffs(params.M, params.s, params.t, _z_of(theta_hd))
+    with np.errstate(divide="ignore"):  # z = -inf at theta_hd = 0
+        z = np.log(np.abs(np.tan(theta_hd)))
+    a, b, _ = chart_homodyne_coeffs(params.M, params.s, params.t, z)
     return StructuredFim(M=params.M, a=float(a), b=float(b))
 
 
@@ -171,13 +158,10 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
     """Best common homodyne angle of each chart state, as one batch.
 
     xi_hd is a sum of two unit-width peaks in z at 2s and 2t
-    (chart_homodyne_coeffs), so its maximum lies between them.  Each state
-    scans z from min(2s, 2t) - Z_PAD in steps of Z_STEP to at least
-    max(2s, 2t) + Z_PAD (a short row scans on with the batch, where xi_hd
-    only falls, so rows do not depend on each other), then golden-section
-    refines one step each side of the best point, in lockstep.  theta* =
-    arctan e^{z*} is in (0, pi/2); pi - theta* gives the same Gamma and F.
-    A state without homodyne information (s = t = 0) gets None.
+    (chart_homodyne_coeffs), so its maximum lies between them, where
+    kernels.z_search finds it.  theta* = arctan e^{z*} is in (0, pi/2);
+    pi - theta* gives the same Gamma and F.  A state without homodyne
+    information (s = t = 0) gets None.
     """
     if not states:
         return []
@@ -185,32 +169,20 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
         np.array([getattr(p, name) for p in states], dtype=float)
         for name in ("M", "s", "t")
     )
-    width = 2.0 * np.max(np.abs(s - t)) + 2.0 * Z_PAD
-    steps = np.arange(math.ceil(width / Z_STEP) + 1)[:, None]
-    grid = 2.0 * np.minimum(s, t) - Z_PAD + Z_STEP * steps
-    xi = chart_homodyne_coeffs(m, s, t, grid)[2]
-    best = np.argmax(xi, axis=0)
-    live = np.flatnonzero(xi[best, np.arange(len(states))] > 0.0)
-    out: list[HomodyneOpt | None] = [None] * len(states)
-    if not live.size:
-        return out
-    m, s, t = m[live], s[live], t[live]
-    z0 = grid[best[live], live]
-    z_star, _, _, _ = kernels.golden_max(
-        lambda z, rows: chart_homodyne_coeffs(m[rows], s[rows], t[rows], z)[2],
-        z0 - Z_STEP,
-        z0 + Z_STEP,
-        Z_TOL,
+    z_star, peak, _ = kernels.z_search(
+        lambda z, rows: chart_homodyne_coeffs(m[rows], s[rows], t[rows], z)[2], s, t
     )
     a, b, xi_hd = chart_homodyne_coeffs(m, s, t, z_star)
-    theta_star = np.arctan(np.exp(z_star))
-    for j, i in enumerate(live):
-        out[i] = HomodyneOpt(
-            theta_star=float(theta_star[j]),
-            fim=StructuredFim(M=states[i].M, a=float(a[j]), b=float(b[j])),
-            xi_hd=float(xi_hd[j]),
+    return [
+        HomodyneOpt(
+            z_star=float(z_star[i]),
+            fim=StructuredFim(M=p.M, a=float(a[i]), b=float(b[i])),
+            xi_hd=float(xi_hd[i]),
         )
-    return out
+        if peak[i] > 0.0
+        else None
+        for i, p in enumerate(states)
+    ]
 
 
 def optimize_homodyne_angle(params: FsgParams) -> HomodyneOpt:
@@ -225,64 +197,51 @@ def optimize_homodyne_angle(params: FsgParams) -> HomodyneOpt:
     return best
 
 
-def mc_estimate(params: FsgParams, theta_hd: float, mc: McConfig) -> McReport:
-    """Empirical check of the Cramér-Rao bound along the common direction.
+def mc_estimate(params: FsgParams, z_hd: float, mc: McConfig) -> McReport:
+    """Empirical check of the Cramér-Rao bound along the common direction,
+    for homodyne detection at z_hd = ln|tan theta_hd|.
 
     Each trial stands for n_samples outcomes x_i ~ N(0, Gamma) and forms the
-    1-D maximum-likelihood estimate of the common phase on
-    [-MLE_BRACKET, MLE_BRACKET]; the variance of the estimates over trials
-    is compared with 1 / (n_samples * xi_hd), xi_hd = 1^T F 1.  Gamma at
-    common phase phi depends on theta_hd + phi only through cos^2 and sin^2,
-    so the likelihood is even about every phi = k pi/2 - theta_hd; the
-    bracket stops at the nearest such reflection point on each side, which
-    would otherwise hold a mirror image of the true minimum.
+    1-D maximum-likelihood estimate of the common phase, searched in z
+    (kernels.mle_trials); the variance of the estimates over trials is
+    compared with 1 / (n_samples * xi_hd), xi_hd = 1^T F 1.
 
     The likelihood sees the outcomes only through the sample second moments
-    of the common mode and of the other M - 1 normal modes
-    (kernels.mle_trials), drawn exactly in units of their variances as
-    X / n and Y / (n (M - 1)), X ~ chi2(n) and Y ~ chi2(n (M - 1)).  One
-    generator seeded with `seed` draws every X, then every Y, so the cost
-    is O(trials) and results are bitwise reproducible.
+    of the common mode and of the other M - 1 normal modes, drawn exactly
+    in units of their variances as X / n and Y / (n (M - 1)),
+    X ~ chi2(n) and Y ~ chi2(n (M - 1)).  One generator seeded with `seed`
+    draws every X, then every Y, so the cost is O(trials) and results are
+    bitwise reproducible.
 
     The 95% interval of the variance is the chi-square one,
     ci95 = dof var / chi2_dof(0.975 ... 0.025), with dof = trials - 1.
-    Raises NumericalError when the Cramér-Rao deviation is below the
-    likelihood search's resolution _MLE_TOL, or when n (M - 1) exceeds
-    _MAX_REST_DOF.
+    Raises NumericalError when the Cramér-Rao variance underflows, when
+    n (M - 1) exceeds _MAX_REST_DOF, or when a trial's maximum lies at the
+    edge of the z scan (too few samples).
     """
     m = params.M
     n = mc.n_samples
-    xi_hd = float(chart_homodyne_coeffs(m, params.s, params.t, _z_of(theta_hd))[2])
+    xi_hd = float(chart_homodyne_coeffs(m, params.s, params.t, z_hd)[2])
     if xi_hd <= 0.0:
         raise NumericalError("homodyne Fisher information vanishes at this angle")
     crb = 1.0 / (n * xi_hd)
-    if crb < _MLE_TOL**2:
-        raise NumericalError(
-            f"the Cramer-Rao deviation {math.sqrt(crb):.1e} is below the "
-            f"likelihood search's resolution {_MLE_TOL:.0e}"
-        )
+    if crb < np.finfo(float).tiny:
+        raise NumericalError(f"the Cramer-Rao variance {crb:.1e} underflows")
     if n * (m - 1) > _MAX_REST_DOF:
         raise NumericalError(
-            f"samples x (M - 1) = {n * (m - 1):.1e} exceeds {_MAX_REST_DOF:.0e}: "
+            f"samples x (M - 1) = {float(n) * (m - 1):.1e} exceeds {_MAX_REST_DOF:.0e}: "
             "the sampled moments round off more than they spread"
         )
     rng = np.random.default_rng(mc.seed)
     common = rng.chisquare(n, mc.trials) / n
     rest = rng.chisquare(n * (m - 1), mc.trials) / (n * (m - 1))
 
-    half_pi = 0.5 * math.pi
-    lo = max(-MLE_BRACKET, (math.ceil(theta_hd / half_pi) - 1) * half_pi - theta_hd)
-    hi = min(MLE_BRACKET, (math.floor(theta_hd / half_pi) + 1) * half_pi - theta_hd)
-    theta_hat, boundary = kernels.mle_trials(
-        common, rest, m, params.s, params.t, theta_hd, lo, hi, _MLE_GRID, _MLE_TOL
-    )
-    if np.any(boundary):
-        first = int(np.flatnonzero(boundary)[0])
-        raise NumericalError(
-            f"likelihood search hit the bracket boundary in trial {first}"
-        )
+    phi_hat, edge = kernels.mle_trials(common, rest, m, params.s, params.t, z_hd)
+    if np.any(edge):
+        trial = int(np.argmax(edge))  # the first
+        raise NumericalError(f"likelihood maximum on the z scan's edge in trial {trial}")
 
-    empirical_var = float(np.var(theta_hat, ddof=1))
+    empirical_var = float(np.var(phi_hat, ddof=1))
     dof = mc.trials - 1
     ci95 = (
         dof * empirical_var / _chi2_quantile(0.975, dof),

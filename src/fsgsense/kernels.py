@@ -13,6 +13,11 @@ from .errors import NumericalError
 
 MAX_GOLDEN_ITER = 200
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+# z_search scans z on [min(2s, 2t) - Z_PAD, max(2s, 2t) + Z_PAD] in steps of
+# Z_STEP, then refines to Z_TOL
+Z_STEP = 0.25
+Z_PAD = 2.0
+Z_TOL = 1e-10
 
 
 def family_states(ts, modes, n_eff):
@@ -70,53 +75,82 @@ def golden_max(f, lo, hi, tol):
     return np.where(f1 >= f2, x1, x2), a, b, iterations
 
 
-def mle_trials(common, rest, modes, s, t, theta_hd, lo, hi, grid_points, tol):
-    """Per-trial 1-D maximum-likelihood estimates of the common phase.
+def sech(u):
+    """sech u without overflow; 0 at u = +-inf."""
+    e = np.exp(-np.abs(u))
+    return 2.0 * e / (1.0 + e * e)
 
-    At common phase phi the outcome covariance of the chart state
-    (M, nu, s, t) has eigenvalue nu lambda_s(theta_hd + phi) on the common
-    mode and nu lambda_t(theta_hd + phi) on the other M - 1 modes, with
-    lambda_x(theta) = e^{2x} cos^2 theta + e^{-2x} sin^2 theta.  common and
-    rest are each trial's second moments of the common mode and (per mode)
-    of the others, in units of their phi = 0 variances.  A mode whose
-    variance moves by q = 1 + d / lambda(theta_hd), with
-    d = -2 sinh 2x sin(2 theta_hd + phi) sin(phi), adds ln q + rho (1/q - 1)
-    to the negative log-likelihood, rho its moment; nothing cancels, even
-    at M = 1e20, and nu drops out.  A (grid x trials) scan on [lo, hi]
-    picks each trial's bracket, then golden_max refines all trials in
-    lockstep to width tol; the estimate is the final bracket's midpoint.
 
-    Returns (theta_hat, hit_boundary) arrays.
+def z_search(f, s, t):
+    """Each row's maximum of f(z, rows) over z = ln|tan theta|, for a
+    homodyne objective of the row's chart state (s, t), which peaks between
+    2s and 2t with features of unit width in z.  Row i scans z from
+    2 min(s_i, t_i) - Z_PAD in steps of Z_STEP to at least
+    2 max(s_i, t_i) + Z_PAD (a shorter row scans on with the batch, so rows
+    do not depend on each other); golden_max refines one step each side of
+    the best point, in lockstep, to width Z_TOL.
+
+    Returns (z, peak, edge): the maxima, f at each row's best scan point,
+    and whether z lies within one Z_STEP of either end of the row's scan.
     """
-    m = float(modes)
-    c0, s0 = math.cos(theta_hd) ** 2, math.sin(theta_hd) ** 2
-    # (e^{2x}, e^{-2x}, lambda_x(theta_hd), 2 sinh 2x, weight) per mode; the
-    # weights divide by M, so that (M - 1) x term cannot overflow
-    modes_at = []
-    for x, weight in ((s, 1.0 / m), (t, 1.0 - 1.0 / m)):
-        up, down = math.exp(2.0 * x), math.exp(-2.0 * x)
-        modes_at.append((up, down, up * c0 + down * s0, 2.0 * math.sinh(2.0 * x), weight))
+    lo = 2.0 * np.minimum(s, t) - Z_PAD
+    width = 2.0 * np.max(np.abs(s - t)) + 2.0 * Z_PAD
+    grid = lo + Z_STEP * np.arange(math.ceil(width / Z_STEP) + 1)[:, None]
+    rows = np.arange(grid.shape[1])
+    values = f(grid, rows)
+    best = np.argmax(values, axis=0)
+    z0 = grid[best, rows]
+    z = golden_max(f, z0 - Z_STEP, z0 + Z_STEP, Z_TOL)[0]
+    edge = (z - grid[0] < Z_STEP) | (grid[-1] - z < Z_STEP)
+    return z, values[best, rows], edge
 
-    def neg_ll(th, rho_common, rho_rest):
-        phi = theta_hd + th
-        c2, s2 = np.cos(phi) ** 2, np.sin(phi) ** 2
-        shift = -np.sin(2.0 * theta_hd + th) * np.sin(th)
+
+def mle_trials(common, rest, modes, s, t, z_hd):
+    """Per-trial maximum-likelihood estimates of the common phase.
+
+    Measured at z* = z_hd = ln|tan theta_hd|, the chart state (M, nu, s, t)
+    has outcome variance nu lambda_s on the common mode and nu lambda_t on
+    the other M - 1 modes, lambda_x(z) = cosh(z - 2x) / cosh z; a common
+    phase phi moves z* to z = ln|tan(theta_hd + phi)|.  common and rest are
+    each trial's second moments of the common mode and (per mode) of the
+    others, in units of their variances at z*.  A mode whose variance moves
+    by q, q - 1 = -sinh 2x sech(z* - 2x) sinh(z - z*) sech z, adds
+    ln q + rho (1/q - 1) to the negative log-likelihood, rho its moment.
+    ln q is log1p(q - 1), or a difference of ln cosh terms where
+    q - 1 <= -1/2 rounds near -1; nu drops out, and the weights 1/M and
+    1 - 1/M keep the M - 1 rest term from overflowing.  z_search maximizes
+    each trial's likelihood in z, and phi = arctan(sinh(d/2) /
+    cosh(z* + d/2)), d = z - z*, is exact however close theta_hd is to
+    pi/2.
+
+    Returns (phi_hat, hit_edge) arrays; hit_edge marks the trials whose
+    maximum lies at the edge of the z scan (z_search).
+    """
+    def log_cosh2(u):  # ln(2 cosh u), without overflow
+        return np.logaddexp(u, -u)
+
+    # (2x, q - 1 per unit sinh(z - z*) sech z, the z*-terms of ln q, weight)
+    modes_at = [
+        (2.0 * x, -math.sinh(2.0 * x) * float(sech(z_hd - 2.0 * x)),
+         float(log_cosh2(z_hd) - log_cosh2(z_hd - 2.0 * x)), weight)
+        for x, weight in ((s, 1.0 / modes), (t, 1.0 - 1.0 / modes))
+    ]
+
+    def log_likelihood(z, rho_common, rho_rest):
+        shift = np.sinh(z - z_hd) * sech(z)
         total = 0.0
-        for (up, down, lam0, rate, w), rho in zip(modes_at, (rho_common, rho_rest)):
-            d = rate * shift
-            total = total + w * (np.log1p(d / lam0) - rho * d / (up * c2 + down * s2))
+        for (two_x, rate, offset, w), rho in zip(modes_at, (rho_common, rho_rest)):
+            u = rate * shift  # q - 1
+            ln_q = np.log1p(np.maximum(u, -0.5))
+            far = u <= -0.5
+            if far.any():
+                ln_q = np.where(far, log_cosh2(z - two_x) - log_cosh2(z) + offset, ln_q)
+            total = total - w * (ln_q + rho * np.expm1(-ln_q))
         return total
 
-    # one row per grid angle, one column per trial
-    grid = lo + (hi - lo) * np.arange(grid_points)[:, None] / (grid_points - 1.0)
-    best_th = grid[np.argmin(neg_ll(grid, common, rest), axis=0), 0]
-    step = (hi - lo) / (grid_points - 1.0)
-    _, a, b, _ = golden_max(
-        lambda th, rows: -neg_ll(th, common[rows], rest[rows]),
-        np.maximum(best_th - step, lo),
-        np.minimum(best_th + step, hi),
-        tol,
+    ones = np.ones_like(common)
+    z, _, edge = z_search(
+        lambda z, rows: log_likelihood(z, common[rows], rest[rows]), s * ones, t * ones
     )
-    theta_hat = 0.5 * (a + b)
-    boundary = (theta_hat - lo < 1e-6) | (hi - theta_hat < 1e-6)
-    return theta_hat, boundary
+    half = 0.5 * (z - z_hd)
+    return np.arctan(np.sinh(half) / np.cosh(z_hd + half)), edge

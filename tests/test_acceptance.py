@@ -336,8 +336,8 @@ def test_criterion_8_weight_matrix_spectrum():
 def test_criterion_9_monte_carlo_crb():
     blocks = tmsv_blocks(1.0)
     hd = optimize_homodyne_angle(params_from_blocks(blocks))
-    base = mc_estimate(params_from_blocks(blocks), hd.theta_star, McConfig(n_samples=10_000, trials=300, seed=7))
-    double = mc_estimate(params_from_blocks(blocks), hd.theta_star, McConfig(n_samples=20_000, trials=300, seed=7))
+    base = mc_estimate(params_from_blocks(blocks), hd.z_star, McConfig(n_samples=10_000, trials=300, seed=7))
+    double = mc_estimate(params_from_blocks(blocks), hd.z_star, McConfig(n_samples=20_000, trials=300, seed=7))
     ratio_ok = 0.9 <= base.ratio <= 1.1
     # halving: the doubled-n variance, scaled back up, must be compatible
     # with the base run at the 95% level

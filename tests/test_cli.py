@@ -136,6 +136,18 @@ def test_top_level_exports_the_product_api_and_the_benchmark_oracles():
     assert public == PRODUCT_API | BENCHMARK_ORACLES
 
 
+# the bindings perfbench/tracer.py wraps that resolve today; one that stops
+# resolving turns its layer "absent" without failing the benchmark run
+TRACED_PATHS = {
+    "fsgsense.cli.compute_record", "fsgsense.cli._run_sweep", "fsgsense.cli._write_csv",
+    "fsgsense.cli.maximize_privacy", "fsgsense.cli.optimize_homodyne_angle",
+    "fsgsense.cli.mc_estimate", "fsgsense.optimize.maximize_precision",
+    "fsgsense.optimize.maximize_privacy", "fsgsense.metrology.qfim_fsg",
+    "fsgsense.metrology.precision", "fsgsense.kernels.mle_trials",
+    "fsgsense.homodyne.homodyne_fim",
+}
+
+
 def test_benchmark_imports_resolve():
     # perfbench imports these names; a refactor that drops one breaks the
     # benchmark run, not a test there
@@ -160,10 +172,16 @@ def test_benchmark_imports_resolve():
                     except ImportError:
                         missing.append(f"{name}:{node.lineno} {module}.{attr}")
     assert missing == []
-    # the bindings perfbench/tracer.py wraps
-    for attr in ("compute_record", "_run_sweep", "_write_csv", "maximize_privacy",
-                 "optimize_homodyne_angle", "mc_estimate"):
-        assert callable(getattr(cli, attr)), attr
+    path = perfbench / "tracer.py"
+    spans = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SPANS"
+    )
+    assert TRACED_PATHS <= {p for paths in spans.values() for p in paths}
+    for dotted in sorted(TRACED_PATHS):
+        module, _, attr = dotted.rpartition(".")
+        assert callable(getattr(importlib.import_module(module), attr, None)), dotted
 
 
 # ------------------------------------------------------------- exit codes
@@ -341,6 +359,8 @@ BAD_STATE_ARGS = [
     ("2", "0", "inf"),
     ("2", "nan", "1"),
     ("2", "-1", "1"),
+    # beyond the float range: the optimizer would raise OverflowError
+    (str(10**400), "0", "10"),
 ]
 
 
@@ -464,6 +484,7 @@ def test_sweep_config_errors_exit_1(runner, tmp_path):
         {"M_list": [2.7]},
         {"M_list": [2, True]},
         {"M_list": "23"},
+        {"M_list": [10**400]},
         {"homodyne": "false"},
         {"homodyne": 1},
         {"N_grid": {"min": 1.0, "max": 10.0, "points": 2.5}},
@@ -474,8 +495,8 @@ def test_sweep_config_errors_exit_1(runner, tmp_path):
     ids=[
         "typo-key", "weights-key", "typo-N_grid-key", "negative-N", "missing-N-keys",
         "nan-N", "inf-N", "bad-points", "nan-n_th", "float-M", "bool-M", "string-M_list",
-        "string-homodyne", "int-homodyne", "float-points", "string-N", "string-n_th",
-        "int-output",
+        "huge-M", "string-homodyne", "int-homodyne", "float-points", "string-N",
+        "string-n_th", "int-output",
     ],
 )
 def test_sweep_bad_config_exits_1(runner, tmp_path, overrides):
@@ -580,9 +601,6 @@ def test_large_budgets_and_node_counts_run(runner):
 @pytest.mark.parametrize(
     "m, n_tot, message",
     [
-        # the optimum's angle rounds to pi/2 and its Cramer-Rao deviation
-        # is ~1e-17, far below the likelihood search's 1e-10
-        ("3", "1e149", "the Cramer-Rao deviation"),
         # the rest modes' moment spreads by 1.4e-16, as much as it rounds
         (str(10**30), "10", "samples x (M - 1)"),
     ],
@@ -595,6 +613,57 @@ def test_mc_beyond_the_estimator_resolution_exits_3(runner, m, n_tot, message):
     assert result.exit_code == 3
     assert result.output.startswith("numerical failure: " + message)
     assert len(result.output.strip().splitlines()) == 1
+
+
+def test_mc_runs_where_the_angle_rounds_to_half_pi(runner):
+    # theta* = arctan e^{z*} rounds to pi/2 and the Cramer-Rao deviation is
+    # ~1e-151; the likelihood is searched in z*, which stays exact
+    result = runner.invoke(
+        main, ["mc", "--M", "3", "--nth", "0", "--N", "1e149", "--samples", "100",
+               "--trials", "20"],
+    )
+    assert result.exit_code == 0, result.output
+    payload = _strict_json(result.output)
+    assert payload["theta_hd"] == math.pi / 2
+    assert payload["crb"] == pytest.approx(1.25e-301, rel=1e-6)
+
+
+# var/CRB band that an efficient estimator leaves with probability ~6e-7:
+# the +-5 sigma normal quantiles of chi2(trials - 1) / (trials - 1), as in
+# the benchmark's output check
+def _mc_band(trials):
+    from scipy import stats
+
+    dof = trials - 1
+    tail = stats.norm.sf(5.0)
+    return stats.chi2.ppf(tail, dof) / dof, stats.chi2.ppf(1.0 - tail, dof) / dof
+
+
+MC_BUDGETS = [
+    (m, n_th, 10.0**k)
+    for m in (2, 3, 10, 1000)
+    for n_th in (0.0, 1.0)
+    for k in range(1, 13)
+    if 10.0**k > m * n_th  # above the thermal floor, where xi_hd > 0
+] + [(3, 0.0, 1e149), (2, 1.0, 1e149)]
+
+
+def test_mc_stays_in_band_at_every_budget(runner):
+    # one budget per decade up to 1e12 and two at 1e149; the likelihood
+    # search in theta exited 3 on these from N = 3e5 (M = 3) on
+    lo, hi = _mc_band(200)
+    failures = []
+    for m, n_th, n_tot in MC_BUDGETS:
+        result = runner.invoke(
+            main,
+            ["mc", "--M", str(m), "--nth", repr(n_th), "--N", repr(n_tot),
+             "--samples", "1000", "--trials", "200", "--seed", "1"],
+        )
+        if result.exit_code != 0:
+            failures.append((m, n_th, n_tot, result.output))
+        elif not lo <= _strict_json(result.output)["ratio"] <= hi:
+            failures.append((m, n_th, n_tot, result.output))
+    assert failures == []
 
 
 def test_homodyne_holds_over_nine_decades_of_budget():
@@ -687,6 +756,12 @@ def test_mc_bad_arguments_exit_1(runner):
         main, ["mc", "--M", "2", "--nth", "0", "--N", "1", "--samples", "1", "--trials", "30"]
     )
     assert result.exit_code == 1
+    result = runner.invoke(
+        main,
+        ["mc", "--M", "2", "--nth", "0", "--N", "1", "--samples", str(10**400),
+         "--trials", "30"],
+    )
+    _assert_one_line_error(result)
     for m, nth, n in BAD_STATE_ARGS:
         result = runner.invoke(
             main,

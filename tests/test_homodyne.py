@@ -2,6 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import dense_homodyne_fim, dense_sufficient_stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsgsense import homodyne
 from fsgsense.errors import DomainError, NumericalError
@@ -199,16 +201,16 @@ def test_mc_config_validation():
 def test_mc_is_reproducible():
     hd = optimize_homodyne_angle(TMSV)
     cfg = McConfig(n_samples=500, trials=40, seed=11)
-    a = mc_estimate(TMSV, hd.theta_star, cfg)
-    b = mc_estimate(TMSV, hd.theta_star, cfg)
+    a = mc_estimate(TMSV, hd.z_star, cfg)
+    b = mc_estimate(TMSV, hd.z_star, cfg)
     assert a == b
-    c = mc_estimate(TMSV, hd.theta_star, McConfig(n_samples=500, trials=40, seed=12))
+    c = mc_estimate(TMSV, hd.z_star, McConfig(n_samples=500, trials=40, seed=12))
     assert c.empirical_var != a.empirical_var
 
 
 def test_mc_variance_tracks_the_bound():
     hd = optimize_homodyne_angle(TMSV)
-    report = mc_estimate(TMSV, hd.theta_star, McConfig(n_samples=2000, trials=150, seed=3))
+    report = mc_estimate(TMSV, hd.z_star, McConfig(n_samples=2000, trials=150, seed=3))
     assert report.xi_hd == pytest.approx(6.125, rel=1e-9)
     assert report.crb == pytest.approx(1.0 / (2000 * 6.125), rel=1e-9)
     assert 0.8 < report.ratio < 1.25
@@ -246,21 +248,40 @@ def test_chi2_quantile_raises_instead_of_returning_an_unconverged_value(monkeypa
             homodyne._chi2_quantile(0.025, dof)
 
 
-@pytest.mark.parametrize("side", [1.0, -1.0])
-def test_mc_bracket_stops_at_the_reflection_point(side):
-    # G(theta_hd + phi) is even about phi = pi/2 - theta_hd; with theta_hd
-    # 0.0303 from pi/2 on either side, a +-0.3 bracket would hold a mirror
-    # minimum at 2 x 0.0303 from the true one
+def test_mc_near_the_reflection_point_stays_in_band():
+    # G(theta_hd + phi) is even about phi = pi/2 - theta_hd, 0.0303 away
+    # here; a +-0.3 bracket in phi held a mirror minimum at 2 x 0.0303 from
+    # the true one.  Both sides of pi/2 are the one z = ln|tan theta_hd|,
+    # whose line holds no mirror image.
     params = maximize_privacy(5, 1.0, 30.0).params
-    theta = optimize_homodyne_angle(params).theta_star
-    assert np.pi / 2 - theta == pytest.approx(0.0303, abs=1e-4)
-    theta_hd = np.pi / 2 + side * (np.pi / 2 - theta)
-    report = mc_estimate(params, theta_hd, McConfig(n_samples=5000, trials=200, seed=2))
+    hd = optimize_homodyne_angle(params)
+    assert np.pi / 2 - hd.theta_star == pytest.approx(0.0303, abs=1e-4)
+    report = mc_estimate(params, hd.z_star, McConfig(n_samples=5000, trials=200, seed=2))
     from scipy import stats
 
     lo, hi = stats.chi2.ppf([1e-6, 1.0 - 1e-6], 199) / 199
     assert lo < report.ratio < hi
     assert report.ci95[0] <= report.crb <= report.ci95[1]
+
+
+def _mc_ratio(m, n_th, n_eff):
+    params = maximize_privacy(m, n_th, (1.0 + 2.0 * n_th) * n_eff + m * n_th).params
+    hd = optimize_homodyne_angle(params)
+    return mc_estimate(params, hd.z_star, McConfig(n_samples=1000, trials=200, seed=1)).ratio
+
+
+@given(
+    m=st.sampled_from([3, 10]),
+    n_th=st.sampled_from([0.0, 1.0]),
+    log_n_eff=st.floats(min_value=4.0, max_value=149.0),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_mc_ratio_does_not_move_with_the_budget(m, n_th, log_n_eff):
+    # the draws depend on (samples, M, seed) alone, the likelihood in z is
+    # scale-free, and nu drops out: the same draws give the same var/CRB
+    # at every budget, however close theta_hd is to pi/2
+    ratio = _mc_ratio(m, n_th, 10.0**log_n_eff)
+    assert ratio == pytest.approx(_mc_ratio(m, 0.0, 1e4), rel=1e-6)
 
 
 def _sampled_stats(monkeypatch, params, theta_hd, mc):
@@ -276,7 +297,7 @@ def _sampled_stats(monkeypatch, params, theta_hd, mc):
         return np.zeros_like(common), np.zeros(common.shape, dtype=bool)
 
     monkeypatch.setattr(kernels, "mle_trials", spy)
-    mc_estimate(params, theta_hd, mc)
+    mc_estimate(params, np.log(abs(np.tan(theta_hd))), mc)
     common, rest = seen[0]
     m = params.M
     gamma = homodyne_cov(blocks_from_params(params), theta_hd)

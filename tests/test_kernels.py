@@ -89,13 +89,13 @@ def _chart_moments(params, theta_hd, S):
 
 
 def test_mle_trials_recovers_zero_phase():
-    # noiseless moments at theta = 0 must give theta_hat ~ 0
+    # noiseless moments at phi = 0 must give phi_hat ~ 0
     params = FsgParams(M=2, n_th=0.0, s=0.7, t=-0.7)
-    theta_hat, boundary = kernels.mle_trials(
-        np.ones(1), np.ones(1), 2, params.s, params.t, 0.4, -0.3, 0.3, 121, 1e-10,
+    phi_hat, edge = kernels.mle_trials(
+        np.ones(1), np.ones(1), 2, params.s, params.t, np.log(np.tan(0.4)),
     )
-    assert not boundary[0]
-    assert abs(theta_hat[0]) < 1e-4
+    assert not edge[0]
+    assert abs(phi_hat[0]) < 1e-9
 
 
 def test_mle_trials_matches_dense_likelihood():
@@ -106,7 +106,8 @@ def test_mle_trials_matches_dense_likelihood():
         FsgParams(M=5, n_th=1.0, s=0.4, t=0.1),
     ):
         blocks = blocks_from_params(params)
-        theta_hd = optimize_homodyne_angle(params).theta_star
+        hd = optimize_homodyne_angle(params)
+        theta_hd = hd.theta_star
         gamma = homodyne_cov(blocks, theta_hd)
         chol = np.linalg.cholesky(gamma)
         rng = np.random.default_rng(11)
@@ -116,10 +117,10 @@ def test_mle_trials_matches_dense_likelihood():
             x = rng.standard_normal((n_samples, blocks.M)) @ chol.T
             moments.append(x.T @ x / n_samples)
         common, rest = np.array([_chart_moments(params, theta_hd, S) for S in moments]).T
-        theta_hat, boundary = kernels.mle_trials(
-            common, rest, params.M, params.s, params.t, theta_hd, lo, hi, 121, 1e-10,
+        phi_hat, edge = kernels.mle_trials(
+            common, rest, params.M, params.s, params.t, hd.z_star
         )
-        assert not boundary.any()
+        assert not edge.any()
 
         def neg_ll(th, S):
             G = homodyne_cov(blocks, theta_hd, np.full(blocks.M, th))
@@ -130,7 +131,7 @@ def test_mle_trials_matches_dense_likelihood():
                 neg_ll, bounds=(lo, hi), args=(S,), method="bounded",
                 options={"xatol": 1e-11},
             )
-            assert theta_hat[k] == pytest.approx(ref.x, abs=1e-6)
+            assert phi_hat[k] == pytest.approx(ref.x, abs=1e-6)
 
 
 def test_qfim_consistency_between_kernel_scan_and_closed_form():
