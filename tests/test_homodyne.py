@@ -248,7 +248,8 @@ def test_chi2_quantile_raises_instead_of_returning_an_unconverged_value(monkeypa
             homodyne._chi2_quantile(0.025, dof)
 
 
-def test_mc_near_the_reflection_point_stays_in_band():
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_mc_bracket_stops_at_the_reflection_point(side):
     # G(theta_hd + phi) is even about phi = pi/2 - theta_hd, 0.0303 away
     # here; a +-0.3 bracket in phi held a mirror minimum at 2 x 0.0303 from
     # the true one.  Both sides of pi/2 are the one z = ln|tan theta_hd|,
@@ -256,7 +257,10 @@ def test_mc_near_the_reflection_point_stays_in_band():
     params = maximize_privacy(5, 1.0, 30.0).params
     hd = optimize_homodyne_angle(params)
     assert np.pi / 2 - hd.theta_star == pytest.approx(0.0303, abs=1e-4)
-    report = mc_estimate(params, hd.z_star, McConfig(n_samples=5000, trials=200, seed=2))
+    theta_hd = np.pi / 2 + side * (np.pi / 2 - hd.theta_star)
+    z = np.log(abs(np.tan(theta_hd)))
+    assert z == pytest.approx(hd.z_star, rel=1e-12)
+    report = mc_estimate(params, z, McConfig(n_samples=5000, trials=200, seed=2))
     from scipy import stats
 
     lo, hi = stats.chi2.ppf([1e-6, 1.0 - 1e-6], 199) / 199
