@@ -170,7 +170,8 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
         for name in ("M", "s", "t")
     )
     z_star, peak, _ = kernels.z_search(
-        lambda z, rows: chart_homodyne_coeffs(m[rows], s[rows], t[rows], z)[2], s, t
+        lambda z, rows: chart_homodyne_coeffs(m[rows], s[rows], t[rows], z)[2],
+        2.0 * np.minimum(s, t) - kernels.Z_PAD, 2.0 * np.maximum(s, t) + kernels.Z_PAD,
     )
     a, b, xi_hd = chart_homodyne_coeffs(m, s, t, z_star)
     return [
@@ -215,9 +216,9 @@ def mc_estimate(params: FsgParams, z_hd: float, mc: McConfig) -> McReport:
 
     The 95% interval of the variance is the chi-square one,
     ci95 = dof var / chi2_dof(0.975 ... 0.025), with dof = trials - 1.
-    Raises NumericalError when the Cramér-Rao variance underflows, when
-    n (M - 1) exceeds _MAX_REST_DOF, or when a trial's maximum lies at the
-    edge of the z scan (too few samples).
+    Raises NumericalError when the Cramér-Rao variance underflows or its
+    deviation in z is below 100 kernels.Z_TOL, when n (M - 1) exceeds
+    _MAX_REST_DOF, or when a trial's maximum lies at the edge of the z scan.
     """
     m = params.M
     n = mc.n_samples
@@ -227,6 +228,11 @@ def mc_estimate(params: FsgParams, z_hd: float, mc: McConfig) -> McReport:
     crb = 1.0 / (n * xi_hd)
     if crb < np.finfo(float).tiny:
         raise NumericalError(f"the Cramer-Rao variance {crb:.1e} underflows")
+    # dz/dtheta = 2 cosh z; z_search finds each trial's maximum to Z_TOL
+    z_dev = math.exp(float(np.logaddexp(z_hd, -z_hd)) + 0.5 * math.log(crb))
+    if z_dev < 100.0 * kernels.Z_TOL:
+        raise NumericalError(f"the Cramer-Rao deviation in z, {z_dev:.1e}, is below "
+                             f"100 x the z search's tolerance {kernels.Z_TOL:.0e}")
     if n * (m - 1) > _MAX_REST_DOF:
         raise NumericalError(
             f"samples x (M - 1) = {float(n) * (m - 1):.1e} exceeds {_MAX_REST_DOF:.0e}: "

@@ -13,8 +13,8 @@ from .errors import NumericalError
 
 MAX_GOLDEN_ITER = 200
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-# z_search scans z on [min(2s, 2t) - Z_PAD, max(2s, 2t) + Z_PAD] in steps of
-# Z_STEP, then refines to Z_TOL
+# z_search scans z in steps of Z_STEP and refines to Z_TOL; its windows reach
+# Z_PAD past the points where a homodyne objective peaks
 Z_STEP = 0.25
 Z_PAD = 2.0
 Z_TOL = 1e-10
@@ -81,21 +81,18 @@ def sech(u):
     return 2.0 * e / (1.0 + e * e)
 
 
-def z_search(f, s, t):
+def z_search(f, lo, hi):
     """Each row's maximum of f(z, rows) over z = ln|tan theta|, for a
-    homodyne objective of the row's chart state (s, t), which peaks between
-    2s and 2t with features of unit width in z.  Row i scans z from
-    2 min(s_i, t_i) - Z_PAD in steps of Z_STEP to at least
-    2 max(s_i, t_i) + Z_PAD (a shorter row scans on with the batch, so rows
-    do not depend on each other); golden_max refines one step each side of
-    the best point, in lockstep, to width Z_TOL.
+    homodyne objective whose features have unit width in z.  Row i scans z
+    from lo_i in steps of Z_STEP to at least hi_i (a shorter row scans on
+    with the batch, so rows do not depend on each other); golden_max
+    refines one step each side of the best point, in lockstep, to width
+    Z_TOL.
 
     Returns (z, peak, edge): the maxima, f at each row's best scan point,
     and whether z lies within one Z_STEP of either end of the row's scan.
     """
-    lo = 2.0 * np.minimum(s, t) - Z_PAD
-    width = 2.0 * np.max(np.abs(s - t)) + 2.0 * Z_PAD
-    grid = lo + Z_STEP * np.arange(math.ceil(width / Z_STEP) + 1)[:, None]
+    grid = lo + Z_STEP * np.arange(math.ceil(np.max(hi - lo) / Z_STEP) + 1)[:, None]
     rows = np.arange(grid.shape[1])
     values = f(grid, rows)
     best = np.argmax(values, axis=0)
@@ -118,10 +115,11 @@ def mle_trials(common, rest, modes, s, t, z_hd):
     ln q + rho (1/q - 1) to the negative log-likelihood, rho its moment.
     ln q is log1p(q - 1), or a difference of ln cosh terms where
     q - 1 <= -1/2 rounds near -1; nu drops out, and the weights 1/M and
-    1 - 1/M keep the M - 1 rest term from overflowing.  z_search maximizes
-    each trial's likelihood in z, and phi = arctan(sinh(d/2) /
-    cosh(z* + d/2)), d = z - z*, is exact however close theta_hd is to
-    pi/2.
+    1 - 1/M keep the M - 1 rest term from overflowing.  The estimates
+    spread by O(1/sqrt(samples)) in z, so z_search maximizes each trial's
+    likelihood on z* +- Z_PAD, 17 scan points whatever the budget, and
+    phi = arctan(sinh(d/2) / cosh(z* + d/2)), d = z - z*, is exact however
+    close theta_hd is to pi/2.
 
     Returns (phi_hat, hit_edge) arrays; hit_edge marks the trials whose
     maximum lies at the edge of the z scan (z_search).
@@ -136,10 +134,10 @@ def mle_trials(common, rest, modes, s, t, z_hd):
         for x, weight in ((s, 1.0 / modes), (t, 1.0 - 1.0 / modes))
     ]
 
-    def log_likelihood(z, rho_common, rho_rest):
+    def log_likelihood(z, rows):
         shift = np.sinh(z - z_hd) * sech(z)
         total = 0.0
-        for (two_x, rate, offset, w), rho in zip(modes_at, (rho_common, rho_rest)):
+        for (two_x, rate, offset, w), rho in zip(modes_at, (common[rows], rest[rows])):
             u = rate * shift  # q - 1
             ln_q = np.log1p(np.maximum(u, -0.5))
             far = u <= -0.5
@@ -148,9 +146,7 @@ def mle_trials(common, rest, modes, s, t, z_hd):
             total = total - w * (ln_q + rho * np.expm1(-ln_q))
         return total
 
-    ones = np.ones_like(common)
-    z, _, edge = z_search(
-        lambda z, rows: log_likelihood(z, common[rows], rest[rows]), s * ones, t * ones
-    )
+    lo = np.full_like(common, z_hd - Z_PAD)
+    z, _, edge = z_search(log_likelihood, lo, lo + 2.0 * Z_PAD)
     half = 0.5 * (z - z_hd)
     return np.arctan(np.sinh(half) / np.cosh(z_hd + half)), edge

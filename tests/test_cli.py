@@ -598,16 +598,29 @@ def test_large_budgets_and_node_counts_run(runner):
     assert 0.5 < payload["ratio"] < 1.5
 
 
+MC_EXIT_3 = [
+    # the rest modes' moment spreads by 1.4e-16, as much as it rounds
+    (str(10**30), "10", "100", "samples x (M - 1)"),
+    # the estimates spread by 1.6e-11 in z, less than the width to which
+    # each trial's maximum is found: every trial would return the same point
+    ("2", "1", str(10**22), "the Cramer-Rao deviation in z"),
+    # 1 / (samples xi_hd) ~ 1e-313 is below the smallest normal float
+    ("3", "1e149", str(10**14), "the Cramer-Rao variance"),
+    # too little information for the likelihood to peak inside z* +- 2:
+    # a state that barely moves with the phase, and two samples a trial
+    ("3", "0.001", "1000", "likelihood maximum on the z scan's edge"),
+    ("2", "1", "2", "likelihood maximum on the z scan's edge"),
+]
+
+
 @pytest.mark.parametrize(
-    "m, n_tot, message",
-    [
-        # the rest modes' moment spreads by 1.4e-16, as much as it rounds
-        (str(10**30), "10", "samples x (M - 1)"),
-    ],
+    "m, n_tot, samples, message",
+    MC_EXIT_3,
+    ids=[f"{m}-{n_tot}-{message}" for m, n_tot, _, message in MC_EXIT_3],
 )
-def test_mc_beyond_the_estimator_resolution_exits_3(runner, m, n_tot, message):
+def test_mc_beyond_the_estimator_resolution_exits_3(runner, m, n_tot, samples, message):
     result = runner.invoke(
-        main, ["mc", "--M", m, "--nth", "0", "--N", n_tot, "--samples", "100",
+        main, ["mc", "--M", m, "--nth", "0", "--N", n_tot, "--samples", samples,
                "--trials", "20"],
     )
     assert result.exit_code == 3

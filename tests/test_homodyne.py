@@ -252,8 +252,9 @@ def test_chi2_quantile_raises_instead_of_returning_an_unconverged_value(monkeypa
 def test_mc_bracket_stops_at_the_reflection_point(side):
     # G(theta_hd + phi) is even about phi = pi/2 - theta_hd, 0.0303 away
     # here; a +-0.3 bracket in phi held a mirror minimum at 2 x 0.0303 from
-    # the true one.  Both sides of pi/2 are the one z = ln|tan theta_hd|,
-    # whose line holds no mirror image.
+    # the true one.  The likelihood is now searched in z, whose line holds
+    # no mirror image, so the +-1 cases only check that ln|tan theta| folds
+    # both sides of pi/2 into one z; the mc run is one computation in both.
     params = maximize_privacy(5, 1.0, 30.0).params
     hd = optimize_homodyne_angle(params)
     assert np.pi / 2 - hd.theta_star == pytest.approx(0.0303, abs=1e-4)
