@@ -7,24 +7,23 @@ benchmark's output checks use; everything else lives in its module.
 """
 
 from .errors import DomainError, FsgSenseError, InfeasibleError, NumericalError
-from .family import FsgBlocks, FsgParams
+from .family import FsgParams
 from .homodyne import (
     HomodyneOpt,
     McConfig,
     McReport,
-    homodyne_cov,
-    homodyne_cov_derivatives,
     homodyne_fim,
     mc_estimate,
     optimize_homodyne_angle,
     optimize_homodyne_angles,
 )
-from .metrology import StructuredFim, qfim_fsg_numeric
-from .optimize import (
-    OptResult,
-    maximize_precision,
-    maximize_privacy,
-    optimize_batch,
+from .metrology import StructuredFim
+from .optimize import OptResult, maximize_precision, maximize_privacy, optimize_batch
+from .reference import (
+    FsgBlocks,
+    homodyne_cov,
+    homodyne_cov_derivatives,
+    qfim_fsg_numeric,
     scan_free_parameter,
 )
 

@@ -2,7 +2,7 @@
 figure-reproduction CSVs, and Monte-Carlo Cramér-Rao checks.
 
 Exit codes: 0 ok, 1 config/validation error, 2 infeasible photon budget,
-3 numerical failure, 4 I/O failure.
+3 numerical failure or out of memory, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ N_GRID_KEYS = {"min", "max", "points", "spacing"}
 # rows optimized as one batch: each (grid x rows) temporary of the homodyne
 # z scan is at most 78 x 64 doubles on the figure grid (kernels.Z_STEP)
 SWEEP_CHUNK_ROWS = 64
+# longest array a count (--trials, N_grid.points) may ask for: numpy sizes
+# arrays through floats, and below 2**53 one too big raises MemoryError
+MAX_ARRAY_LEN = 2**53
 
 
 @dataclass(frozen=True)
@@ -175,13 +178,13 @@ def _write_csv(path: str, records) -> None:
 @contextlib.contextmanager
 def _exit_codes():
     """Turn a failure into its exit code and one stderr line: 2 for an
-    infeasible budget, 3 for any other package error, 4 for I/O."""
+    infeasible budget, 3 for any other package error or no memory, 4 for I/O."""
     try:
         yield
     except InfeasibleError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(2)
-    except FsgSenseError as exc:
+    except (FsgSenseError, MemoryError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
     except OSError as exc:
@@ -241,7 +244,8 @@ def _n_grid(spec: dict) -> list[float]:
         raise click.ClickException(f"invalid N grid: {spec} ({exc})") from exc
     spacing = spec.get("spacing", "linear")
     log_from_zero = lo == 0.0 and spacing == "log"
-    if points < 1 or not _finite_nonnegative(lo, hi) or hi < lo or log_from_zero:
+    bad_points = not 1 <= points <= MAX_ARRAY_LEN
+    if bad_points or not _finite_nonnegative(lo, hi) or hi < lo or log_from_zero:
         raise click.ClickException(f"invalid N grid: {spec}")
     if spacing == "log":
         return [float(x) for x in np.geomspace(lo, hi, points)]
@@ -330,10 +334,10 @@ def sweep(config_path, out):
         raise click.ClickException(
             f"need an output path (config 'output' or --out), got {out_path!r}"
         )
-    n_list = _n_grid(cfg.get("N_grid", DEFAULT_N_GRID))
     objectives = ["precision", "privacy"] if objective == "both" else [objective]
 
     with _exit_codes():
+        n_list = _n_grid(cfg.get("N_grid", DEFAULT_N_GRID))
         records = _run_sweep(m_list, nth_list, n_list, objectives, homodyne)
         _write_csv(out_path, records)
     click.echo(f"wrote {len(records)} rows to {out_path}")
@@ -383,8 +387,8 @@ def figures(outdir, which):
 @click.option("--seed", type=int, default=0, show_default=True)
 def mc(modes, nth, n_tot, samples, trials, seed):
     """Monte-Carlo Cramér-Rao check on the privacy-optimized state."""
-    if not _counts(samples) or trials < 2:
-        raise click.UsageError("need 2 <= --samples <= 1.8e308 and --trials >= 2")
+    if not _counts(samples) or not 2 <= trials <= MAX_ARRAY_LEN:
+        raise click.UsageError("need 2 <= --samples <= 1.8e308 and 2 <= --trials <= 2**53")
     if not _counts(modes) or not _finite_nonnegative(nth, n_tot) or not 0 <= seed < 2**64:
         raise click.UsageError("invalid --M/--nth/--N/--seed")
     with _exit_codes():

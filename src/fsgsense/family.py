@@ -6,9 +6,8 @@ common thermal occupation n_th.  The construction makes both symplectic
 eigenvalues equal to nu = 1 + 2 n_th by design, so isothermality never has
 to be solved for.  At fixed total photon number the family is a
 one-parameter manifold in t.  The chart is the canonical representation:
-the covariance blocks (chart_blocks) are derived from it for the report,
-and FsgBlocks, with its vacuum check, serves states built by hand and the
-dense oracles.
+chart_blocks derives the covariance blocks from it for the report, and is
+the one product function that writes the block format.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .symplectic import fsg_symplectic_eigenvalues
-
-#: Eigenvalue slack allowed below the vacuum limit nu = 1.
-_TOL_NU = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,26 +39,6 @@ class FsgParams:
         return 1.0 + 2.0 * self.n_th
 
 
-@dataclass(frozen=True)
-class FsgBlocks:
-    """Covariance entries (eps1, eps2, gam1, gam2) of the 2x2 block form."""
-
-    M: int
-    eps1: float
-    eps2: float
-    gam1: float
-    gam2: float
-
-    def __post_init__(self):
-        if self.M < 2:
-            raise DomainError(f"M must be >= 2, got {self.M}")
-        nu_minus, nu_plus = fsg_symplectic_eigenvalues(self)
-        if nu_minus < 1.0 - _TOL_NU or nu_plus < 1.0 - _TOL_NU:
-            raise DomainError(
-                f"symplectic eigenvalues below vacuum: nu-={nu_minus}, nu+={nu_plus}"
-            )
-
-
 def chart_blocks(m, nu, s, t):
     """Covariance entries (eps1, eps2, gam1, gam2) of the chart (M, nu, s, t).
 
@@ -79,32 +54,6 @@ def chart_blocks(m, nu, s, t):
         nu * (a - b) / m,
         nu * (1.0 / a - 1.0 / b) / m,
     )
-
-
-def blocks_from_params(params: FsgParams) -> FsgBlocks:
-    """Checked covariance blocks of the chart state (see chart_blocks)."""
-    return FsgBlocks(params.M, *chart_blocks(params.M, params.nu, params.s, params.t))
-
-
-def params_from_blocks(blocks: FsgBlocks) -> FsgParams:
-    """Invert the chart: recover (M, n_th, s, t) from isothermal blocks.
-
-    Uses eps1 - gam1 = nu e^{2t} and eps1 + (M-1) gam1 = nu e^{2s}.
-    Raises DomainError if the blocks are not isothermal.
-    """
-    m = blocks.M
-    nu_minus, nu_plus = fsg_symplectic_eigenvalues(blocks)
-    if abs(nu_plus - nu_minus) > 1e-8 * max(1.0, nu_plus):
-        raise DomainError(f"blocks not isothermal: nu-={nu_minus}, nu+={nu_plus}")
-    nu = max(0.5 * (nu_minus + nu_plus), 1.0)  # clamp rounding below vacuum
-    t = 0.5 * np.log((blocks.eps1 - blocks.gam1) / nu)
-    s = 0.5 * np.log((blocks.eps1 + (m - 1) * blocks.gam1) / nu)
-    return FsgParams(M=m, n_th=0.5 * (nu - 1.0), s=float(s), t=float(t))
-
-
-def total_photons(blocks: FsgBlocks) -> float:
-    """Mean photon number above vacuum: N_tot = M (eps1 + eps2 - 2) / 4."""
-    return blocks.M * (blocks.eps1 + blocks.eps2 - 2.0) / 4.0
 
 
 def check_budget(M: int, n_th: float, N_tot: float) -> None:
@@ -142,29 +91,3 @@ def free_parameter_range(M: int, n_th: float, N_tot: float) -> float:
     """
     check_budget(M, n_th, N_tot)
     return float(np.arcsinh(np.sqrt(squeezed_photons(M, n_th, N_tot) / (M - 1))))
-
-
-def optimal_precision_blocks(M: int, N_tot: float) -> FsgBlocks:
-    """Pure blocks of the precision-optimal state at budget N_tot.
-
-    gam_i = [2 N - 2 (-1)^i sqrt(N (N+1))] / M and eps_i = 1 + gam_i;
-    the state is pure and reaches the ultimate precision 8 N (N + 1).
-    """
-    if N_tot < 0.0:
-        raise DomainError(f"N_tot must be >= 0, got {N_tot}")
-    root = np.sqrt(N_tot * (N_tot + 1.0))
-    gam1 = (2.0 * N_tot + 2.0 * root) / M
-    gam2 = (2.0 * N_tot - 2.0 * root) / M
-    return FsgBlocks(M=M, eps1=1.0 + gam1, eps2=1.0 + gam2, gam1=gam1, gam2=gam2)
-
-
-def tmsv_blocks(N_tot: float) -> FsgBlocks:
-    """Two-mode squeezed vacuum blocks at budget N_tot (M = 2).
-
-    eps1 = eps2 = 1 + N_tot, gam1 = -gam2 = sqrt(N_tot (N_tot + 2)); the
-    unique FSG state with perfect privacy at finite photon number.
-    """
-    if N_tot < 0.0:
-        raise DomainError(f"N_tot must be >= 0, got {N_tot}")
-    g = float(np.sqrt(N_tot * (N_tot + 2.0)))
-    return FsgBlocks(M=2, eps1=1.0 + N_tot, eps2=1.0 + N_tot, gam1=g, gam2=-g)

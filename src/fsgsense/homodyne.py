@@ -8,8 +8,7 @@ the a I + b J structure of the probe state.
 
 States are taken in their chart (M, nu, s, t), where the Fisher matrix
 and the likelihood are closed forms (chart_homodyne_coeffs,
-kernels.mle_trials).  homodyne_cov and homodyne_cov_derivatives build
-Gamma densely from covariance blocks, as the oracles for those forms.
+kernels.mle_trials).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericalError
-from .family import FsgBlocks, FsgParams
+from .family import FsgParams
 from .metrology import StructuredFim
 
 # the rest modes' moment Y / k, Y ~ chi2(k), spreads by sqrt(2 / k); beyond
@@ -70,57 +69,6 @@ class HomodyneOpt:
     def theta_star(self) -> float:
         """arctan e^{z*} in (0, pi/2); it rounds to pi/2 past z* ~ 36."""
         return float(np.arctan(np.exp(self.z_star)))
-
-
-def homodyne_cov(
-    blocks: FsgBlocks, theta_hd: float, thetas: np.ndarray | None = None
-) -> np.ndarray:
-    """Outcome covariance Gamma of local homodyne detection.
-
-    Gamma_jk = b1 cos(phi_j) cos(phi_k) + b2 sin(phi_j) sin(phi_k) with
-    phi_j = theta_hd + theta_j, where (b1, b2) are the diagonal entries of
-    the covariance block coupling nodes j and k (eps on the diagonal, gam
-    off it).  thetas=None means zero prior at every node.
-    """
-    m = blocks.M
-    if thetas is None:
-        phi = np.full(m, theta_hd)
-    else:
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.shape != (m,):
-            raise DomainError(f"expected {m} node angles, got shape {thetas.shape}")
-        phi = theta_hd + thetas
-    c, s = np.cos(phi), np.sin(phi)
-    gamma = blocks.gam1 * np.outer(c, c) + blocks.gam2 * np.outer(s, s)
-    diag = (blocks.eps1 - blocks.gam1) * c**2 + (blocks.eps2 - blocks.gam2) * s**2
-    gamma[np.diag_indices(m)] += diag
-    min_eig = float(np.linalg.eigvalsh(gamma)[0])
-    if min_eig <= 1e-10:
-        raise NumericalError(
-            f"homodyne covariance lost positive definiteness (min eig {min_eig:.3e})"
-        )
-    return gamma
-
-
-def homodyne_cov_derivatives(blocks: FsgBlocks, theta_hd: float) -> list[np.ndarray]:
-    """Derivatives of Gamma in each node phase, at zero prior.
-
-    d Gamma / d theta_j has (j, j) entry (eps2 - eps1) sin(2 theta_hd),
-    (j, k) entries (gam2 - gam1) sin(2 theta_hd) / 2 for k != j, zero
-    elsewhere.
-    """
-    m = blocks.M
-    s2 = np.sin(2.0 * theta_hd)
-    diag = (blocks.eps2 - blocks.eps1) * s2
-    off = 0.5 * (blocks.gam2 - blocks.gam1) * s2
-    out = []
-    for j in range(m):
-        d = np.zeros((m, m))
-        d[j, :] = off
-        d[:, j] = off
-        d[j, j] = diag
-        out.append(d)
-    return out
 
 
 def chart_homodyne_coeffs(m, s, t, z):

@@ -6,11 +6,11 @@ optimum at t = 0 and confines the privacy optimum to [-t_max, 0], where a
 golden-section search finds it (see optimize_batch).  Every state is
 handled in its chart (M, nu, s, t): s solves the photon constraint, and
 the QFIM comes from metrology.chart_fisher_coeffs, so the search, the
-reported values and the scan share one closed form.  The result carries
-the optimum's chart (OptResult.params), not its covariance blocks.  Rows (M, n_th, N_tot)
-sharing an objective are optimized as one batch, with golden-section on
-every privacy row in lockstep.  The single-row functions are batches of
-one.
+reported values and reference.scan_free_parameter share one closed form.
+The result carries the optimum's chart (OptResult.params), not its
+covariance blocks.  Rows (M, n_th, N_tot) sharing an objective are
+optimized as one batch, with golden-section on every privacy row in
+lockstep.  The single-row functions are batches of one.
 """
 
 from __future__ import annotations
@@ -48,13 +48,6 @@ class OptResult:
     one_minus_privacy: float
     ratio_to_best_xi: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    t: float
-    xi: float
-    privacy: float
 
 
 def _chart_values(m, nu, n2, s, t):
@@ -159,21 +152,3 @@ def maximize_privacy(M: int, n_th: float, N_tot: float) -> OptResult:
     precision-maximal state of the same (M, n_th, N_tot).
     """
     return optimize_batch([(M, n_th, N_tot)], "privacy")[0]
-
-
-def scan_free_parameter(
-    M: int, n_th: float, N_tot: float, grid_points: int
-) -> list[ScanPoint]:
-    """Raw (t, xi, privacy) curve on a uniform grid over [-t_max, t_max]."""
-    if grid_points < 3:
-        raise DomainError(f"grid_points must be >= 3, got {grid_points}")
-    t_max = free_parameter_range(M, n_th, N_tot)
-    ts = np.linspace(-t_max, t_max, grid_points)
-    nu, n2 = 1.0 + 2.0 * n_th, 1.0 / M
-    s = kernels.family_states(ts, M, squeezed_photons(M, n_th, N_tot))
-    a, b, xi_arr, _ = _chart_values(M, nu, n2, s, ts)
-    p_arr = privacy_from_ab(a, b, M, n2)
-    return [
-        ScanPoint(t=float(t), xi=float(x), privacy=float(p))
-        for t, x, p in zip(ts, xi_arr, p_arr)
-    ]

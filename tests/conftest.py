@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fsgsense.errors import NumericalError
-from fsgsense.homodyne import homodyne_cov, homodyne_cov_derivatives
+from fsgsense.reference import homodyne_cov, homodyne_cov_derivatives
 
 _CRITERION_LINES: dict[int, str] = {}
 

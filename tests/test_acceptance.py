@@ -16,33 +16,27 @@ import numpy as np
 import pytest
 from conftest import record_criterion
 
-from fsgsense.family import (
-    FsgParams,
-    blocks_from_params,
-    optimal_precision_blocks,
-    params_from_blocks,
-    tmsv_blocks,
-)
-from fsgsense.homodyne import (
-    McConfig,
-    homodyne_cov,
-    homodyne_cov_derivatives,
-    mc_estimate,
-    optimize_homodyne_angle,
-)
-from fsgsense.metrology import (
-    StructuredFim,
+from fsgsense.family import FsgParams
+from fsgsense.homodyne import McConfig, mc_estimate, optimize_homodyne_angle
+from fsgsense.metrology import StructuredFim
+from fsgsense.optimize import maximize_precision, maximize_privacy
+from fsgsense.reference import (
     WeightVector,
+    blocks_from_params,
     closed_form_privacy_of_optimum,
     fim_inverse,
+    homodyne_cov,
+    homodyne_cov_derivatives,
     mean_weights,
+    optimal_precision_blocks,
+    params_from_blocks,
     precision,
     privacy,
     qfim_fsg,
     qfim_fsg_numeric,
+    tmsv_blocks,
     weight_matrix_spectrum,
 )
-from fsgsense.optimize import maximize_precision, maximize_privacy
 from fsgsense.symplectic import (
     assemble_covariance,
     fsg_determinant,

@@ -19,7 +19,7 @@ import fsgsense
 from fsgsense import cli
 from fsgsense.cli import CSV_FIELDS, compute_record, main
 from fsgsense.errors import DomainError, InfeasibleError, NumericalError
-from fsgsense.family import FsgBlocks
+from fsgsense.reference import FsgBlocks
 
 
 @pytest.fixture
@@ -113,6 +113,37 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+PRODUCT_MODULES = {
+    "cli", "errors", "family", "homodyne", "kernels", "metrology", "optimize",
+}
+
+
+def test_product_modules_leave_the_references_out():
+    # the product path is what the CLI runs; the block form and the dense
+    # oracles live in reference (with symplectic beneath it), which only the
+    # top level, for perfbench/checks.py, and the tests import
+    package = Path(fsgsense.__file__).resolve().parent
+    product, into_reference = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # "from . import reference" names the module as an alias
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            where = f"{path.name}:{node.lineno}"
+            parts = {part for name in names for part in name.split(".")}
+            if path.stem in PRODUCT_MODULES and parts & {"reference", "symplectic"}:
+                product.append(where)
+            if path.name != "__init__.py" and "reference" in parts:
+                into_reference.append(where)
+    assert {p.stem for p in package.glob("*.py")} >= PRODUCT_MODULES
+    assert product == []
+    assert into_reference == []
+
+
 PRODUCT_API = {
     "maximize_precision", "maximize_privacy", "optimize_batch", "OptResult",
     "FsgParams", "StructuredFim", "optimize_homodyne_angle",
@@ -142,8 +173,7 @@ TRACED_PATHS = {
     "fsgsense.cli.compute_record", "fsgsense.cli._run_sweep", "fsgsense.cli._write_csv",
     "fsgsense.cli.maximize_privacy", "fsgsense.cli.optimize_homodyne_angle",
     "fsgsense.cli.mc_estimate", "fsgsense.optimize.maximize_precision",
-    "fsgsense.optimize.maximize_privacy", "fsgsense.metrology.qfim_fsg",
-    "fsgsense.metrology.precision", "fsgsense.kernels.mle_trials",
+    "fsgsense.optimize.maximize_privacy", "fsgsense.kernels.mle_trials",
     "fsgsense.homodyne.homodyne_fim",
 }
 
@@ -207,6 +237,7 @@ def _command(name, tmp_path):
         (NumericalError, 3, "numerical failure: "),
         (DomainError, 3, "numerical failure: "),
         (OSError, 4, "I/O failure: "),
+        (MemoryError, 3, "numerical failure: "),
     ],
 )
 def test_exit_code_contract(runner, tmp_path, monkeypatch, command, error, code, prefix):
@@ -491,12 +522,16 @@ def test_sweep_config_errors_exit_1(runner, tmp_path):
         {"N_grid": {"min": "1", "max": 10.0, "points": 3}},
         {"n_th_list": ["0.5"]},
         {"output": 1},
+        {"N_grid": {"min": 1.0, "max": 10.0, "points": 10**400}},
+        {"N_grid": {"min": 1.0, "max": 10.0, "points": 2**63}},
+        {"N_grid": {"min": 1.0, "max": 10.0, "points": 2**53 + 1}},
     ],
     ids=[
         "typo-key", "weights-key", "typo-N_grid-key", "negative-N", "missing-N-keys",
         "nan-N", "inf-N", "bad-points", "nan-n_th", "float-M", "bool-M", "string-M_list",
         "huge-M", "string-homodyne", "int-homodyne", "float-points", "string-N",
-        "string-n_th", "int-output",
+        "string-n_th", "int-output", "huge-points", "points-past-maxsize",
+        "points-past-2**53",
     ],
 )
 def test_sweep_bad_config_exits_1(runner, tmp_path, overrides):
@@ -775,6 +810,14 @@ def test_mc_bad_arguments_exit_1(runner):
          "--trials", "30"],
     )
     _assert_one_line_error(result)
+    # numpy would raise ValueError or MemoryError on arrays of these lengths
+    for trials in (10**400, 2**63, 2**53 + 1):
+        result = runner.invoke(
+            main,
+            ["mc", "--M", "2", "--nth", "0", "--N", "1", "--samples", "10",
+             "--trials", str(trials)],
+        )
+        _assert_one_line_error(result)
     for m, nth, n in BAD_STATE_ARGS:
         result = runner.invoke(
             main,

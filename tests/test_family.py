@@ -6,18 +6,22 @@ from hypothesis import strategies as st
 from fsgsense import kernels
 from fsgsense.errors import DomainError, InfeasibleError
 from fsgsense.family import (
-    FsgBlocks,
     FsgParams,
-    blocks_from_params,
     check_budget,
     free_parameter_range,
+    squeezed_photons,
+)
+from fsgsense.reference import (
+    FsgBlocks,
+    blocks_from_params,
+    mean_weights,
     optimal_precision_blocks,
     params_from_blocks,
-    squeezed_photons,
+    privacy,
+    qfim_fsg,
     tmsv_blocks,
     total_photons,
 )
-from fsgsense.metrology import mean_weights, privacy, qfim_fsg
 
 finite = dict(allow_nan=False, allow_infinity=False)
 

@@ -7,24 +7,24 @@ from hypothesis import strategies as st
 
 from fsgsense import homodyne
 from fsgsense.errors import DomainError, NumericalError
-from fsgsense.family import (
-    FsgParams,
-    blocks_from_params,
-    params_from_blocks,
-    tmsv_blocks,
-)
+from fsgsense.family import FsgParams
 from fsgsense import kernels
 from fsgsense.homodyne import (
     McConfig,
     chart_homodyne_coeffs,
-    homodyne_cov,
-    homodyne_cov_derivatives,
     homodyne_fim,
     mc_estimate,
     optimize_homodyne_angle,
     optimize_homodyne_angles,
 )
 from fsgsense.optimize import maximize_privacy
+from fsgsense.reference import (
+    blocks_from_params,
+    homodyne_cov,
+    homodyne_cov_derivatives,
+    params_from_blocks,
+    tmsv_blocks,
+)
 from fsgsense.symplectic import assemble_covariance, phase_rotation, physicality_check
 
 
@@ -131,7 +131,7 @@ def test_fim_is_finite_where_z_is_infinite(theta):
 
 
 def test_fim_never_exceeds_quantum_limit(rng):
-    from fsgsense.metrology import qfim_fsg
+    from fsgsense.reference import qfim_fsg
 
     for _ in range(25):
         params = random_params(rng)

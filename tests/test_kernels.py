@@ -5,19 +5,14 @@ from scipy.optimize import minimize_scalar
 
 from fsgsense import kernels
 from fsgsense.errors import NumericalError
-from fsgsense.family import (
-    FsgParams,
-    blocks_from_params,
-    free_parameter_range,
-    squeezed_photons,
-)
+from fsgsense.family import FsgParams, free_parameter_range, squeezed_photons
 from fsgsense.homodyne import (
     chart_homodyne_coeffs,
-    homodyne_cov,
     optimize_homodyne_angle,
     optimize_homodyne_angles,
 )
-from fsgsense.metrology import chart_fisher_coeffs, qfim_fsg
+from fsgsense.metrology import chart_fisher_coeffs
+from fsgsense.reference import blocks_from_params, homodyne_cov, qfim_fsg
 
 
 @pytest.mark.parametrize(

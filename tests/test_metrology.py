@@ -7,28 +7,26 @@ from hypothesis import strategies as st
 
 from fsgsense import kernels
 from fsgsense.errors import DomainError, NumericalError
-from fsgsense.family import (
-    FsgParams,
-    blocks_from_params,
-    free_parameter_range,
-    optimal_precision_blocks,
-    squeezed_photons,
-    tmsv_blocks,
-)
+from fsgsense.family import FsgParams, free_parameter_range, squeezed_photons
 from fsgsense.metrology import (
     StructuredFim,
-    WeightVector,
     chart_fisher_coeffs,
+    one_minus_privacy_from_ab,
+    xi_from_ab,
+)
+from fsgsense.reference import (
+    WeightVector,
+    blocks_from_params,
     closed_form_privacy_of_optimum,
     fim_inverse,
     mean_weights,
-    one_minus_privacy_from_ab,
+    optimal_precision_blocks,
     precision,
     privacy,
     qfim_fsg,
     qfim_fsg_numeric,
+    tmsv_blocks,
     weight_matrix_spectrum,
-    xi_from_ab,
 )
 from fsgsense.symplectic import assemble_covariance
 
@@ -157,7 +155,7 @@ def test_chart_closed_form_is_finite_bounded_and_factorizes(m, n_th, n_tot, u):
 
 
 def test_qfim_rejects_non_isothermal():
-    from fsgsense.family import FsgBlocks
+    from fsgsense.reference import FsgBlocks
 
     # a squeezed-vacuum pair with unequal symplectic eigenvalues
     blocks = FsgBlocks(M=2, eps1=3.0, eps2=1.0, gam1=0.5, gam2=0.1)

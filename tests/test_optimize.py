@@ -9,23 +9,15 @@ from hypothesis import strategies as st
 
 from fsgsense import kernels
 from fsgsense.errors import DomainError, InfeasibleError
-from fsgsense.family import (
+from fsgsense.family import free_parameter_range, squeezed_photons
+from fsgsense.metrology import chart_fisher_coeffs, one_minus_privacy_from_ab
+from fsgsense.optimize import maximize_precision, maximize_privacy, optimize_batch
+from fsgsense.reference import (
     blocks_from_params,
-    free_parameter_range,
-    squeezed_photons,
-    total_photons,
-)
-from fsgsense.metrology import (
-    chart_fisher_coeffs,
     closed_form_privacy_of_optimum,
     fisher_coeffs,
-    one_minus_privacy_from_ab,
-)
-from fsgsense.optimize import (
-    maximize_precision,
-    maximize_privacy,
-    optimize_batch,
     scan_free_parameter,
+    total_photons,
 )
 
 
@@ -283,3 +275,44 @@ def test_privacy_search_matches_a_dense_full_interval_grid(m, n_th, excess):
     result = maximize_privacy(m, n_th, n_tot)
     brute = max(p.privacy for p in scan_free_parameter(m, n_th, n_tot, 20001))
     assert brute <= result.privacy + 1e-12
+
+
+def _privacy_optimum_law(m, n_eff):
+    """Leading terms of the M >= 3 privacy optimum as N_eff -> inf:
+    (1 - P*, t*, 1 - r(t*)), from 1 - P ~ (M-1)[2 e^{2t-2s} + (M-2) e^{-4t-4s}]
+    with e^{2s} ~ 4 N_eff, minimized over e^{2t}."""
+    omp = 3.0 * (m - 1) * (m - 2) ** (1 / 3) * (4.0 * n_eff) ** (-4 / 3)
+    t = math.log((m - 2) / (4.0 * n_eff)) / 6.0
+    loss = (m - 1) * 4 ** (1 / 3) / (2.0 * (m - 2) ** (1 / 3)) * n_eff ** (-2 / 3)
+    return omp, t, loss
+
+
+@pytest.mark.parametrize("m", [3, 10, 100, 1000])
+def test_privacy_optimum_follows_its_asymptotic_law(m):
+    n_effs = [1e6, 1e8, 1e10, 1e12, 1e14]
+    results = optimize_batch([(m, 0.0, n) for n in n_effs], "privacy")
+    for n_eff, result in zip(n_effs, results):
+        omp, t, loss = _privacy_optimum_law(m, n_eff)
+        x = m / n_eff
+        # the next terms are (M/N_eff)^{2/3} relative in 1 - P* and t* and
+        # (M/N_eff)^{1/3} in 1 - r; the golden search sets a floor on t*
+        assert abs(result.one_minus_privacy / omp - 1.0) < x ** (2 / 3)
+        assert abs(result.params.t - t) < 0.5 * x ** (2 / 3) + 1e-7
+        assert abs((1.0 - result.ratio_to_best_xi) / loss - 1.0) < 2.0 * x ** (1 / 3)
+
+
+@given(
+    m=st.integers(min_value=2, max_value=1000),
+    n_th=st.floats(min_value=0.0, max_value=10.0),
+    excess=st.floats(min_value=1e-3, max_value=1e12),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_thermal_privacy_optimum_is_the_pure_one_at_n_eff(m, n_th, excess):
+    # F(M, n_th, N; t) = k(nu) F(M, 0, N_eff; t) and k cancels in 1 - P.
+    # Where 1 - P is flat the golden search finds t* to about sqrt(eps)
+    # (at most 6.2e-8 apart over 20,000 random rows)
+    n_tot = m * n_th + excess
+    n_eff = float(squeezed_photons(m, n_th, n_tot))
+    thermal, pure = optimize_batch([(m, n_th, n_tot), (m, 0.0, n_eff)], "privacy")
+    assert abs(thermal.params.t - pure.params.t) <= 1e-7
+    assert thermal.one_minus_privacy == pytest.approx(pure.one_minus_privacy, rel=1e-13)

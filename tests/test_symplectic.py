@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fsgsense.errors import DomainError, NumericalError
-from fsgsense.family import FsgParams, blocks_from_params
+from fsgsense.family import FsgParams
+from fsgsense.reference import blocks_from_params
 from fsgsense.symplectic import (
     CovarianceState,
     assemble_covariance,
