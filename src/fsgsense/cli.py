@@ -38,9 +38,6 @@ DEFAULT_NTH_LIST = [0.0, 1.0, 5.0]
 DEFAULT_N_GRID = {"min": 1.0, "max": 1000.0, "points": 25, "spacing": "log"}
 CONFIG_KEYS = {"M_list", "n_th_list", "N_grid", "objective", "homodyne", "output"}
 N_GRID_KEYS = {"min", "max", "points", "spacing"}
-# rows optimized as one batch: each (grid x rows) temporary of the homodyne
-# z scan is at most 78 x 64 doubles on the figure grid (kernels.Z_STEP)
-SWEEP_CHUNK_ROWS = 64
 # longest array a count (--trials, N_grid.points) may ask for: numpy sizes
 # arrays through floats, and below 2**53 one too big raises MemoryError
 MAX_ARRAY_LEN = 2**53
@@ -255,19 +252,10 @@ def _n_grid(spec: dict) -> list[float]:
 
 
 def _run_sweep(m_list, nth_list, n_list, objectives, homodyne) -> list[SweepRecord]:
-    """Records in (M, n_th, N_tot, objective) order, computed in batches of
-    at most SWEEP_CHUNK_ROWS points under one objective."""
+    """Records in (M, n_th, N_tot, objective) order; each objective's points
+    are computed as one batch."""
     points = [(m, nth, n) for m in m_list for nth in nth_list for n in n_list]
-    columns = [
-        [
-            record
-            for start in range(0, len(points), SWEEP_CHUNK_ROWS)
-            for record in _compute_records(
-                points[start:start + SWEEP_CHUNK_ROWS], obj, homodyne
-            )
-        ]
-        for obj in objectives
-    ]
+    columns = [_compute_records(points, obj, homodyne) for obj in objectives]
     # the objective varies fastest along the rows
     return [record for row in zip(*columns) for record in row]
 

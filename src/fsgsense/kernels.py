@@ -1,8 +1,7 @@
 """Hot numeric kernels, written as numpy array expressions.
 
 Per-row chart parameters (modes, s, t, n_eff) broadcast against the
-trailing axis, so a (grid x rows) array of points evaluates many states
-at once.
+trailing axis, so an array of points evaluates many states at once.
 """
 
 import math
@@ -85,21 +84,30 @@ def z_search(f, lo, hi):
     """Each row's maximum of f(z, rows) over z = ln|tan theta|, for a
     homodyne objective whose features have unit width in z.  Row i scans z
     from lo_i in steps of Z_STEP to at least hi_i (a shorter row scans on
-    with the batch, so rows do not depend on each other); golden_max
+    with the batch, so rows do not depend on each other), in blocks of
+    2 Z_PAD / Z_STEP + 1 points, one feature's reach, so each temporary
+    holds that many values per row whatever the budget; a later block must
+    beat a row's best strictly, so the first maximum wins.  golden_max
     refines one step each side of the best point, in lockstep, to width
     Z_TOL.
 
     Returns (z, peak, edge): the maxima, f at each row's best scan point,
     and whether z lies within one Z_STEP of either end of the row's scan.
     """
-    grid = lo + Z_STEP * np.arange(math.ceil(np.max(hi - lo) / Z_STEP) + 1)[:, None]
-    rows = np.arange(grid.shape[1])
-    values = f(grid, rows)
-    best = np.argmax(values, axis=0)
-    z0 = grid[best, rows]
+    steps = math.ceil(np.max(hi - lo) / Z_STEP) + 1
+    block = round(2.0 * Z_PAD / Z_STEP) + 1
+    rows = np.arange(lo.size)
+    z0, peak = lo, np.full(lo.size, -np.inf)
+    for start in range(0, steps, block):
+        grid = lo + Z_STEP * np.arange(start, min(start + block, steps))[:, None]
+        values = f(grid, rows)
+        best = np.argmax(values, axis=0)
+        better = values[best, rows] > peak
+        z0 = np.where(better, grid[best, rows], z0)
+        peak = np.where(better, values[best, rows], peak)
     z = golden_max(f, z0 - Z_STEP, z0 + Z_STEP, Z_TOL)[0]
-    edge = (z - grid[0] < Z_STEP) | (grid[-1] - z < Z_STEP)
-    return z, values[best, rows], edge
+    edge = (z - lo < Z_STEP) | (lo + Z_STEP * (steps - 1) - z < Z_STEP)
+    return z, peak, edge
 
 
 def mle_trials(common, rest, modes, s, t, z_hd):

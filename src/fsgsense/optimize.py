@@ -34,7 +34,8 @@ from .metrology import (
 BRACKET_TOL = 1e-10
 OBJECTIVES = ("precision", "privacy")
 # every factor of the chart closed forms is at most about (2 N_eff + M)^2,
-# so it stays finite while N_eff <= MAX_CHART_N (family.squeezed_photons)
+# so it stays finite while N_eff and M are at most MAX_CHART_N
+# (family.squeezed_photons)
 MAX_CHART_N = 1e150
 
 
@@ -83,7 +84,9 @@ def optimize_batch(
       the tests check the result against a dense full-interval grid.
 
     Raises InfeasibleError if a row's budget is below its thermal floor,
-    and NumericalError if its Fisher information would overflow.
+    and NumericalError if its Fisher information would overflow (N_eff or
+    M above MAX_CHART_N) or its coefficient a or b is nonzero but subnormal,
+    where the closed forms lose their relative accuracy.
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}")
@@ -93,11 +96,11 @@ def optimize_batch(
     m, n_th, n_tot = (np.array(col, dtype=float) for col in zip(*rows))
     nu = 1.0 + 2.0 * n_th
     n_eff = squeezed_photons(m, n_th, n_tot)
-    huge = np.flatnonzero(~(n_eff <= MAX_CHART_N))
+    huge = np.flatnonzero(~(np.maximum(n_eff, m) <= MAX_CHART_N))
     if huge.size:
-        _, nth, N = rows[huge[0]]
+        M, nth, N = rows[huge[0]]
         raise NumericalError(
-            f"photon budget N_tot={N!r} at n_th={nth!r} is too large: "
+            f"M={M:.3g} or photon budget N_tot={N!r} at n_th={nth!r} is too large: "
             "the Fisher information overflows"
         )
     n2 = 1.0 / m
@@ -117,6 +120,14 @@ def optimize_batch(
         )
     s_star = kernels.family_states(t_star, m, n_eff)
     a, b, xi, omp = _chart_values(m, nu, n2, s_star, t_star)
+    tiny = np.finfo(float).tiny
+    subnormal = np.flatnonzero(((a > 0.0) & (a < tiny)) | ((b > 0.0) & (b < tiny)))
+    if subnormal.size:
+        M, nth, N = rows[subnormal[0]]
+        raise NumericalError(
+            f"the Fisher information of M={M!r}, N_tot={N!r} at n_th={nth!r} "
+            "underflows to a subnormal number"
+        )
     p = privacy_from_ab(a, b, m, n2)
     # the precision optimum is the t = 0 state (see the docstring), so a
     # ratio above 1 is rounding between two closed-form evaluations and is

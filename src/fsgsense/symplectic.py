@@ -2,20 +2,17 @@
 
 Conventions: quadrature ordering (x1, p1, ..., xM, pM), vacuum covariance
 equal to the identity, first moments fixed to zero.  The physicality of a
-covariance matrix V is the uncertainty relation V + i*Omega >= 0.
+covariance matrix V is the uncertainty relation V + i*Omega >= 0.  The
+block functions read M, eps1, eps2, gam1 and gam2 of a reference.FsgBlocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .family import FsgBlocks
 
 #: Tolerance on the minimum eigenvalue of V + i*Omega.
 TOL_PHYS = 1e-9
@@ -70,7 +67,7 @@ def physicality_check(state: CovarianceState) -> PhysicalityReport:
     return PhysicalityReport(min_eig=min_eig, physical=min_eig >= -TOL_PHYS)
 
 
-def assemble_covariance(blocks: "FsgBlocks") -> CovarianceState:
+def assemble_covariance(blocks) -> CovarianceState:
     """Build the 2M x 2M covariance with diag blocks diag(eps1, eps2) and
     off-diagonal blocks diag(gam1, gam2).
 
@@ -126,7 +123,7 @@ def phase_rotation(thetas: np.ndarray) -> np.ndarray:
     return rot
 
 
-def fsg_determinant(blocks: "FsgBlocks") -> float:
+def fsg_determinant(blocks) -> float:
     """Closed-form determinant of the block covariance matrix.
 
     det V = (eps1 + (M-1) gam1)(eps2 + (M-1) gam2)
@@ -138,7 +135,7 @@ def fsg_determinant(blocks: "FsgBlocks") -> float:
     return float(top * base ** (m - 1))
 
 
-def fsg_symplectic_eigenvalues(blocks: "FsgBlocks") -> tuple[float, float]:
+def fsg_symplectic_eigenvalues(blocks) -> tuple[float, float]:
     """Closed-form symplectic eigenvalues (nu_minus, nu_plus).
 
     nu_minus = sqrt((eps1-gam1)(eps2-gam2)) with multiplicity M-1,

@@ -369,9 +369,23 @@ def test_a_billion_nodes_run_in_bounded_memory(command):
         assert math.isfinite(payload["xi"]) and payload["xi"] > 0.0
 
 
-def test_state_overflowing_information_exits_3_with_one_line():
-    # xi ~ 8 N^2 overflows a double
-    out = _python("-m", "fsgsense.cli", "state", "--M", "3", "--nth", "0", "--N", "1e300")
+@pytest.mark.parametrize(
+    "modes, n_tot",
+    [
+        # xi ~ 8 N^2 overflows a double
+        ("3", "1e300"),
+        # M > MAX_CHART_N: M^2 overflows, so F12 would read 0
+        (str(10**160), "1e6"),
+        # a subnormal QFIM: the t = 0 privacy would read 0, not 0.5
+        ("3", "5e-324"),
+        # M > MAX_CHART_N again; F12 read a subnormal 4.0e-314 and r_hd 1 + 2.9e-11
+        (str(10**154), "1e-6"),
+    ],
+    ids=["N-1e300", "M-1e160", "N-5e-324", "M-1e154"],
+)
+def test_state_overflowing_information_exits_3_with_one_line(modes, n_tot):
+    # a subprocess, so that a numpy RuntimeWarning would show on stderr
+    out = _python("-m", "fsgsense.cli", "state", "--M", modes, "--nth", "0", "--N", n_tot)
     assert out.returncode == 3 and out.stdout == ""
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
@@ -540,11 +554,13 @@ def test_sweep_bad_config_exits_1(runner, tmp_path, overrides):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_batches_equal_single_rows(monkeypatch):
+def test_sweep_batches_equal_single_rows():
     # the grid holds infeasible rows (N below M n_th), rows exactly at the
-    # floor (t_max = 0, no information, empty homodyne cells) and ordinary
-    # ones, under both objectives with homodyne on
-    m_list, nth_list, n_list = [2, 3, 7], [0.0, 0.5, 5.0], [1.0, 10.0, 35.0, 120.0]
+    # floor (t_max = 0, no information, empty homodyne cells), ordinary
+    # ones and 1e149 rows, whose z scans of about 1,400 steps the shorter
+    # rows ride along, under both objectives with homodyne on
+    m_list, nth_list = [2, 3, 7], [0.0, 0.5, 5.0]
+    n_list = [1.0, 10.0, 35.0, 120.0, 1e149]
     objectives = ["precision", "privacy"]
     expected = [
         compute_record(m, nth, n, obj, True)
@@ -553,12 +569,35 @@ def test_sweep_batches_equal_single_rows(monkeypatch):
     assert not all(rec.feasible for rec in expected)
     assert any(rec.feasible and rec.xi == 0.0 for rec in expected)
     assert any(rec.theta_hd_star is not None for rec in expected)
-    for chunk in (1, 7, cli.SWEEP_CHUNK_ROWS):
-        monkeypatch.setattr(cli, "SWEEP_CHUNK_ROWS", chunk)
-        records = cli._run_sweep(m_list, nth_list, n_list, objectives, True)
-        assert len(records) == len(expected)
-        for got, want in zip(records, expected):
-            assert same_fields(got, want), (chunk, want)
+    records = cli._run_sweep(m_list, nth_list, n_list, objectives, True)
+    assert len(records) == len(expected)
+    for got, want in zip(records, expected):
+        assert same_fields(got, want), want
+
+
+def test_figure_sweep_is_one_batch_per_objective(monkeypatch):
+    calls = []
+
+    def spy(name):
+        inner = getattr(cli, name)
+
+        def counted(rows, *args):
+            calls.append((name, len(rows)))
+            return inner(rows, *args)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    spy("optimize_batch")
+    spy("optimize_homodyne_angles")
+    n_list = cli._n_grid(cli.DEFAULT_N_GRID)
+    records = cli._run_sweep(
+        cli.DEFAULT_M_LIST, cli.DEFAULT_NTH_LIST, n_list, ["precision", "privacy"], True
+    )
+    assert len(records) == 2 * 375
+    names = [name for name, _ in calls]
+    assert names == ["optimize_batch", "optimize_homodyne_angles"] * 2
+    feasible = sum(rec.feasible for rec in records) // 2
+    assert [rows for name, rows in calls if name == "optimize_batch"] == [feasible] * 2
 
 
 def test_numerical_failure_in_a_batch_exits_3(runner, tmp_path):

@@ -12,6 +12,7 @@ from fsgsense.homodyne import (
     optimize_homodyne_angles,
 )
 from fsgsense.metrology import chart_fisher_coeffs
+from fsgsense.optimize import maximize_privacy
 from fsgsense.reference import blocks_from_params, homodyne_cov, qfim_fsg
 
 
@@ -70,6 +71,26 @@ def test_angle_search_matches_a_dense_z_grid():
         brute = float(np.max(chart_homodyne_coeffs(m, s, t, zs)[2]))
         assert hd.xi_hd >= brute * (1.0 - 1e-13)
         assert 0.0 < hd.theta_star < np.pi / 2
+
+
+def test_z_search_evaluates_one_block_per_row_at_a_time(monkeypatch):
+    # the 1e149 row scans about 1,400 z steps; an ordinary row rides along,
+    # and no call of the objective may see more than 17 z values per row
+    states = [maximize_privacy(3, 0.0, n_tot).params for n_tot in (10.0, 1e149)]
+    search = kernels.z_search
+    per_row = []
+
+    def spy(f, lo, hi):
+        def counted(z, rows):
+            per_row.append(np.size(z) // np.size(rows))
+            return f(z, rows)
+
+        return search(counted, lo, hi)
+
+    monkeypatch.setattr(kernels, "z_search", spy)
+    optimize_homodyne_angles(states)
+    assert max(per_row) == round(2 * kernels.Z_PAD / kernels.Z_STEP) + 1 == 17
+    assert sum(per_row) > 1000
 
 
 def _chart_moments(params, theta_hd, S):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsgsense import kernels
-from fsgsense.errors import DomainError, InfeasibleError
+from fsgsense.errors import DomainError, InfeasibleError, NumericalError
 from fsgsense.family import free_parameter_range, squeezed_photons
 from fsgsense.metrology import chart_fisher_coeffs, one_minus_privacy_from_ab
 from fsgsense.optimize import maximize_precision, maximize_privacy, optimize_batch
@@ -214,6 +214,16 @@ def test_batch_rows_do_not_depend_on_their_neighbours():
     with pytest.raises(DomainError):
         optimize_batch(rows, "accuracy")
     assert optimize_batch([], "privacy") == []
+
+
+def test_subnormal_fisher_information_raises():
+    # M is below MAX_CHART_N, but b ~ 8 N / M^2 is subnormal
+    for objective in ("precision", "privacy"):
+        with pytest.raises(NumericalError, match="subnormal"):
+            optimize_batch([(3, 0.0, 10.0), (10**149, 0.0, 1e-20)], objective)
+    # no information at all is exact, not subnormal
+    fim = maximize_privacy(3, 0.0, 0.0).fim
+    assert fim.a == fim.b == 0.0
 
 
 def test_ratio_to_best_xi_never_exceeds_one():
