@@ -128,17 +128,15 @@ def _compute_records(points, objective: str, homodyne: bool) -> list[SweepRecord
     """Records of (M, n_th, N_tot) points under one objective, in order.
 
     The feasible points are optimized as one batch; with homodyne, so are
-    the angles of the optima that carry information (xi > 0).  The others
-    keep empty homodyne cells.
+    the angles of the optima.  Points below the floor, and optima without
+    homodyne information, keep empty homodyne cells.
     """
     feasible = [i for i, point in enumerate(points) if _feasible(*point)]
     optima = optimize_batch([points[i] for i in feasible], objective)
     results = dict(zip(feasible, optima))
     angles = {}
     if homodyne:
-        live = [i for i in feasible if results[i].xi > 0.0]
-        best_angles = optimize_homodyne_angles([results[i].params for i in live])
-        angles = dict(zip(live, best_angles))
+        angles = dict(zip(feasible, optimize_homodyne_angles([r.params for r in optima])))
     return [
         _record(*point, objective, results.get(i), angles.get(i))
         for i, point in enumerate(points)
@@ -371,7 +369,7 @@ def figures(outdir, which):
 @click.option("--nth", type=float, required=True)
 @click.option("--N", "n_tot", type=float, required=True)
 @click.option("--samples", type=int, required=True, help="Homodyne shots per trial.")
-@click.option("--trials", type=int, required=True, help="Independent estimates.")
+@click.option("--trials", type=int, required=True, help="Independent estimates, ~1 KB each.")
 @click.option("--seed", type=int, default=0, show_default=True)
 def mc(modes, nth, n_tot, samples, trials, seed):
     """Monte-Carlo Cramér-Rao check on the privacy-optimized state."""

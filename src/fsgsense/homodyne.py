@@ -105,11 +105,11 @@ def homodyne_fim(params: FsgParams, theta_hd: float) -> StructuredFim:
 def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | None]:
     """Best common homodyne angle of each chart state, as one batch.
 
-    xi_hd is a sum of two unit-width peaks in z at 2s and 2t
-    (chart_homodyne_coeffs), so its maximum lies between them, where
-    kernels.z_search finds it.  theta* = arctan e^{z*} is in (0, pi/2);
-    pi - theta* gives the same Gamma and F.  A state without homodyne
-    information (s = t = 0) gets None.
+    xi_hd is a sum of two unit-width sech^2 peaks in z at 2s and 2t
+    (chart_homodyne_coeffs), so its maximum lies within arccosh sqrt 2 ~
+    0.88 of one of them, where kernels.z_search finds it.  theta* =
+    arctan e^{z*} is in (0, pi/2); pi - theta* gives the same Gamma and F.
+    A state without homodyne information (s = t = 0) gets None.
     """
     if not states:
         return []
@@ -117,6 +117,7 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
         np.array([getattr(p, name) for p in states], dtype=float)
         for name in ("M", "s", "t")
     )
+    # the peaks at 2s and 2t sit Z_PAD inside the window, where z_search reads
     z_star, peak, _ = kernels.z_search(
         lambda z, rows: chart_homodyne_coeffs(m[rows], s[rows], t[rows], z)[2],
         2.0 * np.minimum(s, t) - kernels.Z_PAD, 2.0 * np.maximum(s, t) + kernels.Z_PAD,

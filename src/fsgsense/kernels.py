@@ -12,8 +12,8 @@ from .errors import NumericalError
 
 MAX_GOLDEN_ITER = 200
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-# z_search scans z in steps of Z_STEP and refines to Z_TOL; its windows reach
-# Z_PAD past the points where a homodyne objective peaks
+# z_search scans z in steps of Z_STEP, a block of 2 Z_PAD / Z_STEP + 1 points
+# round each peak of a homodyne objective, and refines to Z_TOL
 Z_STEP = 0.25
 Z_PAD = 2.0
 Z_TOL = 1e-10
@@ -82,24 +82,25 @@ def sech(u):
 
 def z_search(f, lo, hi):
     """Each row's maximum of f(z, rows) over z = ln|tan theta|, for a
-    homodyne objective whose features have unit width in z.  Row i scans z
-    from lo_i in steps of Z_STEP to at least hi_i (a shorter row scans on
-    with the batch, so rows do not depend on each other), in blocks of
-    2 Z_PAD / Z_STEP + 1 points, one feature's reach, so each temporary
-    holds that many values per row whatever the budget; a later block must
-    beat a row's best strictly, so the first maximum wins.  golden_max
-    refines one step each side of the best point, in lockstep, to width
-    Z_TOL.
+    homodyne objective whose maximum lies within Z_PAD of lo + Z_PAD or of
+    hi - Z_PAD: a sum of sech^2 peaks there is below half their heights'
+    sum farther than arccosh sqrt 2 ~ 0.88 from both.  Row i's grid steps
+    by Z_STEP from lo_i to at least hi_i; only its first and last blocks of
+    2 Z_PAD / Z_STEP + 1 points are scanned.  The last, scanned where some
+    grid is longer than one block, must beat a row's best strictly, so the
+    first maximum wins; golden_max refines one step each side of the best
+    point, in lockstep, to width Z_TOL.
 
     Returns (z, peak, edge): the maxima, f at each row's best scan point,
     and whether z lies within one Z_STEP of either end of the row's scan.
     """
-    steps = math.ceil(np.max(hi - lo) / Z_STEP) + 1
     block = round(2.0 * Z_PAD / Z_STEP) + 1
+    steps = np.ceil((hi - lo) / Z_STEP) + 1
     rows = np.arange(lo.size)
     z0, peak = lo, np.full(lo.size, -np.inf)
-    for start in range(0, steps, block):
-        grid = lo + Z_STEP * np.arange(start, min(start + block, steps))[:, None]
+    last = np.maximum(steps - block, 0)  # where each row's last block starts
+    for start in [0, last] if last.any() else [0]:
+        grid = lo + Z_STEP * (start + np.arange(block)[:, None])
         values = f(grid, rows)
         best = np.argmax(values, axis=0)
         better = values[best, rows] > peak

@@ -85,8 +85,8 @@ def optimize_batch(
 
     Raises InfeasibleError if a row's budget is below its thermal floor,
     and NumericalError if its Fisher information would overflow (N_eff or
-    M above MAX_CHART_N) or its coefficient a or b is nonzero but subnormal,
-    where the closed forms lose their relative accuracy.
+    M above MAX_CHART_N), or underflow: a or b nonzero but subnormal, where
+    the closed forms lose their relative accuracy, or both 0 at N_eff > 0.
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}")
@@ -121,12 +121,12 @@ def optimize_batch(
     s_star = kernels.family_states(t_star, m, n_eff)
     a, b, xi, omp = _chart_values(m, nu, n2, s_star, t_star)
     tiny = np.finfo(float).tiny
-    subnormal = np.flatnonzero(((a > 0.0) & (a < tiny)) | ((b > 0.0) & (b < tiny)))
-    if subnormal.size:
-        M, nth, N = rows[subnormal[0]]
+    lost = (a > 0.0) & (a < tiny) | (b > 0.0) & (b < tiny) | (n_eff > 0.0) & (a + b == 0.0)
+    if lost.any():
+        M, nth, N = rows[np.argmax(lost)]
         raise NumericalError(
             f"the Fisher information of M={M!r}, N_tot={N!r} at n_th={nth!r} "
-            "underflows to a subnormal number"
+            "underflows to zero or a subnormal number"
         )
     p = privacy_from_ab(a, b, m, n2)
     # the precision optimum is the t = 0 state (see the docstring), so a

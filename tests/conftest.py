@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from fsgsense import kernels
 from fsgsense.errors import NumericalError
 from fsgsense.reference import homodyne_cov, homodyne_cov_derivatives
 
@@ -90,6 +91,26 @@ def scalar_golden_max(f, lo, hi, tol, max_iter=200):
             f2 = f(x2)
         iterations += 1
     return (x1 if f1 >= f2 else x2), a, b, iterations
+
+
+def full_z_scan(f, lo, hi):
+    """Oracle for kernels.z_search: each row's whole grid, lo_i in steps of
+    Z_STEP to at least hi_i, in one call of f; the first maximum, refined
+    by kernels.golden_max on one step each side to Z_TOL.
+
+    Returns (z, peak, edge) like kernels.z_search.
+    """
+    step = kernels.Z_STEP
+    steps = np.ceil((hi - lo) / step) + 1
+    index = np.arange(np.max(steps))[:, None]
+    rows = np.arange(lo.size)
+    values = f(lo + step * index, rows)
+    values[index >= steps] = -np.inf  # past the row's own grid
+    best = np.argmax(values, axis=0)
+    z0 = lo + step * best
+    z = kernels.golden_max(f, z0 - step, z0 + step, kernels.Z_TOL)[0]
+    edge = (z - lo < step) | (lo + step * (steps - 1) - z < step)
+    return z, values[best, rows], edge
 
 
 def same_fields(x, y) -> bool:

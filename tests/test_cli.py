@@ -380,8 +380,11 @@ def test_a_billion_nodes_run_in_bounded_memory(command):
         ("3", "5e-324"),
         # M > MAX_CHART_N again; F12 read a subnormal 4.0e-314 and r_hd 1 + 2.9e-11
         (str(10**154), "1e-6"),
+        # a and b underflow to exactly 0 while xi_hd stays positive: xi
+        # read 0 and r_hd = xi_hd / xi would divide by zero
+        (str(10**30), "1e-300"),
     ],
-    ids=["N-1e300", "M-1e160", "N-5e-324", "M-1e154"],
+    ids=["N-1e300", "M-1e160", "N-5e-324", "M-1e154", "M-1e30-N-1e-300"],
 )
 def test_state_overflowing_information_exits_3_with_one_line(modes, n_tot):
     # a subprocess, so that a numpy RuntimeWarning would show on stderr

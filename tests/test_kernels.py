@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import dense_homodyne_fim, scalar_golden_max
+from conftest import dense_homodyne_fim, full_z_scan, scalar_golden_max
 from scipy.optimize import minimize_scalar
 
 from fsgsense import kernels
@@ -12,7 +12,7 @@ from fsgsense.homodyne import (
     optimize_homodyne_angles,
 )
 from fsgsense.metrology import chart_fisher_coeffs
-from fsgsense.optimize import maximize_privacy
+from fsgsense.optimize import maximize_privacy, optimize_batch
 from fsgsense.reference import blocks_from_params, homodyne_cov, qfim_fsg
 
 
@@ -73,24 +73,59 @@ def test_angle_search_matches_a_dense_z_grid():
         assert 0.0 < hd.theta_star < np.pi / 2
 
 
-def test_z_search_evaluates_one_block_per_row_at_a_time(monkeypatch):
-    # the 1e149 row scans about 1,400 z steps; an ordinary row rides along,
-    # and no call of the objective may see more than 17 z values per row
+def test_z_search_work_per_row_does_not_grow_with_the_budget(monkeypatch):
+    # the 1e149 row's window spans about 1,400 z steps; batched with an
+    # ordinary row it is still read in two 17-point blocks plus the
+    # golden-section steps, and no call sees more than 17 z values per row
     states = [maximize_privacy(3, 0.0, n_tot).params for n_tot in (10.0, 1e149)]
     search = kernels.z_search
-    per_row = []
+    per_call, large_row = [], []
 
     def spy(f, lo, hi):
         def counted(z, rows):
-            per_row.append(np.size(z) // np.size(rows))
+            per_call.append(np.size(z) // np.size(rows))
+            large_row.append(per_call[-1] * np.count_nonzero(rows == 1))
             return f(z, rows)
 
         return search(counted, lo, hi)
 
     monkeypatch.setattr(kernels, "z_search", spy)
     optimize_homodyne_angles(states)
-    assert max(per_row) == round(2 * kernels.Z_PAD / kernels.Z_STEP) + 1 == 17
-    assert sum(per_row) > 1000
+    assert max(per_call) == round(2 * kernels.Z_PAD / kernels.Z_STEP) + 1 == 17
+    assert sum(large_row) < 100
+
+
+def _xi_hd(m, s, t):
+    return lambda z, rows: chart_homodyne_coeffs(m[rows], s[rows], t[rows], z)[2]
+
+
+def test_z_search_matches_the_full_scan_bitwise():
+    # the two end blocks against every point of each row's window: random
+    # states up to |2t| = 350, the tied M = 2 privacy optima, s = t rows and
+    # rows without homodyne information
+    rng = np.random.default_rng(23)
+    random = np.array([
+        rng.integers(2, 1001, 300), rng.uniform(0.0, 175.0, 300), rng.uniform(-175.0, 175.0, 300)
+    ])
+    random[2, :40] = random[1, :40]  # s = t
+    points = [(2, n_th, n) for n_th in (0.0, 0.5, 5.0) for n in np.logspace(-3, 60, 40)]
+    optima = optimize_batch(
+        [p for p in points if p[2] >= 2 * p[1]] + [(2, 0.0, 0.0), (3, 0.5, 1.5)], "privacy"
+    )
+    chart = np.array([(p.params.M, p.params.s, p.params.t) for p in optima]).T
+    m, s, t = np.concatenate([chart, random, [[4.0], [0.0], [0.0]]], axis=1)
+    lo, hi = 2.0 * np.minimum(s, t) - kernels.Z_PAD, 2.0 * np.maximum(s, t) + kernels.Z_PAD
+    z, peak, _ = kernels.z_search(_xi_hd(m, s, t), lo, hi)
+    z_ref, peak_ref, _ = full_z_scan(_xi_hd(m, s, t), lo, hi)
+    assert np.array_equal(z, z_ref) and np.array_equal(peak, peak_ref)
+    assert np.count_nonzero(peak == 0.0) >= 3
+    # mle_trials-shaped windows, z* +- Z_PAD, some maxima beyond an end
+    centre = rng.uniform(-2.5, 2.5, 200)
+    lo = rng.uniform(-50.0, 50.0, 200)
+    objective = lambda z, rows: kernels.sech(z - lo[rows] - kernels.Z_PAD - centre[rows]) ** 2
+    edge = kernels.z_search(objective, lo, lo + 2.0 * kernels.Z_PAD)[2]
+    assert np.array_equal(edge, full_z_scan(objective, lo, lo + 2.0 * kernels.Z_PAD)[2])
+    assert 0 < np.count_nonzero(edge) < edge.size
 
 
 def _chart_moments(params, theta_hd, S):

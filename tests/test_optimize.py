@@ -226,6 +226,13 @@ def test_subnormal_fisher_information_raises():
     assert fim.a == fim.b == 0.0
 
 
+def test_fisher_information_underflowing_to_zero_raises():
+    # N_eff = 1e-300 > 0, but a ~ 4 N_eff / M and b ~ 8 N_eff / M^2 round to 0
+    for objective in ("precision", "privacy"):
+        with pytest.raises(NumericalError, match="underflows to zero"):
+            optimize_batch([(3, 0.0, 10.0), (10**30, 0.0, 1e-300)], objective)
+
+
 def test_ratio_to_best_xi_never_exceeds_one():
     # at N_eff ~ 1e149 the two closed-form evaluations of xi round in the
     # privacy optimum's favour (the ratio read 1.0000000000000286); the
