@@ -57,13 +57,17 @@ def chart_blocks(m, nu, s, t):
 
 
 def check_budget(M: int, n_th: float, N_tot: float) -> None:
-    """Raise DomainError for a negative budget, InfeasibleError for one
-    below the thermal floor M * n_th.
+    """Raise DomainError for M < 2 or a negative or NaN n_th or budget,
+    InfeasibleError for a budget below the thermal floor M * n_th.
 
     The rule is strict and exact in floating point, N_tot < M * n_th, so
     that every command and the CSV's feasible column agree on it.
     """
-    if N_tot < 0.0:
+    if M < 2:
+        raise DomainError(f"M must be >= 2, got {M}")
+    if not n_th >= 0.0:
+        raise DomainError(f"n_th must be >= 0, got {n_th}")
+    if not N_tot >= 0.0:
         raise DomainError(f"N_tot must be >= 0, got {N_tot}")
     floor = M * n_th
     if N_tot < floor:

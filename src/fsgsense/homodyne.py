@@ -119,7 +119,7 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
     )
     # the peaks at 2s and 2t sit Z_PAD inside the window, where z_search reads
     z_star, peak, _ = kernels.z_search(
-        lambda z, rows: chart_homodyne_coeffs(m[rows], s[rows], t[rows], z)[2],
+        lambda z: chart_homodyne_coeffs(m, s, t, z)[2],
         2.0 * np.minimum(s, t) - kernels.Z_PAD, 2.0 * np.maximum(s, t) + kernels.Z_PAD,
     )
     a, b, xi_hd = chart_homodyne_coeffs(m, s, t, z_star)
@@ -165,10 +165,13 @@ def mc_estimate(params: FsgParams, z_hd: float, mc: McConfig) -> McReport:
 
     The 95% interval of the variance is the chi-square one,
     ci95 = dof var / chi2_dof(0.975 ... 0.025), with dof = trials - 1.
-    Raises NumericalError when the Cramér-Rao variance underflows or its
-    deviation in z is below 100 kernels.Z_TOL, when n (M - 1) exceeds
-    _MAX_REST_DOF, or when a trial's maximum lies at the edge of the z scan.
+    Raises DomainError for a NaN z_hd, and NumericalError when the
+    Cramér-Rao variance underflows or its deviation in z is below
+    100 kernels.Z_TOL, when n (M - 1) exceeds _MAX_REST_DOF, or when a
+    trial's maximum lies at the edge of the z scan.
     """
+    if math.isnan(z_hd):
+        raise DomainError("z_hd must be a number, got nan")
     m = params.M
     n = mc.n_samples
     xi_hd = float(chart_homodyne_coeffs(m, params.s, params.t, z_hd)[2])

@@ -34,11 +34,11 @@ def family_states(ts, modes, n_eff):
 def golden_max(f, lo, hi, tol):
     """Golden-section maximization on independent brackets, in lockstep.
 
-    f(x, rows) returns the objective at the points x of the brackets with
-    indices rows.  Each step moves every bracket still wider than tol and
-    evaluates only those; NaN values compare false, as in the scalar
-    algorithm.  Raises NumericalError when a bracket is still open after
-    MAX_GOLDEN_ITER steps.
+    f(x) returns the objective at x, one point for every bracket.  Each
+    step moves every bracket still wider than tol; a closed bracket keeps
+    its state, though f still sees a point of it.  NaN values compare
+    false, as in the scalar algorithm.  Raises NumericalError when a
+    bracket is still open after MAX_GOLDEN_ITER steps.
 
     Returns (x, a, b, iterations): the better final interior point, the
     final bracket [a, b] and the number of steps each bracket took.
@@ -47,29 +47,25 @@ def golden_max(f, lo, hi, tol):
     b = np.array(hi, dtype=float)
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
-    everything = np.arange(a.size)
     # one column per bracket: a, b, x1, x2, f(x1), f(x2)
-    state = np.array([a, b, x1, x2, f(x1, everything), f(x2, everything)])
+    state = np.array([a, b, x1, x2, f(x1), f(x2)])
     iterations = np.zeros(a.size, dtype=int)
-    rows = np.flatnonzero(b - a > tol)
-    step = 0
-    while rows.size:
-        if step == MAX_GOLDEN_ITER:
-            width = float(np.max(state[1, rows] - state[0, rows]))
+    open_ = b - a > tol
+    while open_.any():
+        if iterations.max() == MAX_GOLDEN_ITER:
+            width = float(np.max((state[1] - state[0])[open_]))
             raise NumericalError(
                 f"golden-section refinement stalled at width {width:.3e}"
             )
-        a, b, x1, x2, f1, f2 = state[:, rows]
+        a, b, x1, x2, f1, f2 = state
         left = f1 > f2  # the maximum lies in [a, x2]
         na, nb = np.where(left, a, x1), np.where(left, x2, b)
         new_x = np.where(left, nb - _INV_GOLDEN * (nb - na), na + _INV_GOLDEN * (nb - na))
-        new_f = f(new_x, rows)
-        state[:, rows] = np.where(
-            left, [na, nb, new_x, x1, new_f, f1], [na, nb, x2, new_x, f2, new_f]
-        )
-        iterations[rows] += 1
-        step += 1
-        rows = rows[state[1, rows] - state[0, rows] > tol]
+        new_f = f(new_x)
+        moved = np.where(left, [na, nb, new_x, x1, new_f, f1], [na, nb, x2, new_x, f2, new_f])
+        state = np.where(open_, moved, state)
+        iterations += open_
+        open_ = state[1] - state[0] > tol
     a, b, x1, x2, f1, f2 = state
     return np.where(f1 >= f2, x1, x2), a, b, iterations
 
@@ -81,15 +77,16 @@ def sech(u):
 
 
 def z_search(f, lo, hi):
-    """Each row's maximum of f(z, rows) over z = ln|tan theta|, for a
-    homodyne objective whose maximum lies within Z_PAD of lo + Z_PAD or of
+    """Each row's maximum of f over z = ln|tan theta|, for a homodyne
+    objective whose maximum lies within Z_PAD of lo + Z_PAD or of
     hi - Z_PAD: a sum of sech^2 peaks there is below half their heights'
-    sum farther than arccosh sqrt 2 ~ 0.88 from both.  Row i's grid steps
-    by Z_STEP from lo_i to at least hi_i; only its first and last blocks of
-    2 Z_PAD / Z_STEP + 1 points are scanned.  The last, scanned where some
-    grid is longer than one block, must beat a row's best strictly, so the
-    first maximum wins; golden_max refines one step each side of the best
-    point, in lockstep, to width Z_TOL.
+    sum farther than arccosh sqrt 2 ~ 0.88 from both.  f(z) sees every
+    row: z holds one point per row, or a (points, rows) block.  Row i's
+    grid steps by Z_STEP from lo_i to at least hi_i; only its first and
+    last blocks of 2 Z_PAD / Z_STEP + 1 points are scanned.  The last,
+    scanned where some grid is longer than one block, must beat a row's
+    best strictly, so the first maximum wins; golden_max refines one step
+    each side of the best point, in lockstep, to width Z_TOL.
 
     Returns (z, peak, edge): the maxima, f at each row's best scan point,
     and whether z lies within one Z_STEP of either end of the row's scan.
@@ -101,7 +98,7 @@ def z_search(f, lo, hi):
     last = np.maximum(steps - block, 0)  # where each row's last block starts
     for start in [0, last] if last.any() else [0]:
         grid = lo + Z_STEP * (start + np.arange(block)[:, None])
-        values = f(grid, rows)
+        values = f(grid)
         best = np.argmax(values, axis=0)
         better = values[best, rows] > peak
         z0 = np.where(better, grid[best, rows], z0)
@@ -143,10 +140,10 @@ def mle_trials(common, rest, modes, s, t, z_hd):
         for x, weight in ((s, 1.0 / modes), (t, 1.0 - 1.0 / modes))
     ]
 
-    def log_likelihood(z, rows):
+    def log_likelihood(z):
         shift = np.sinh(z - z_hd) * sech(z)
         total = 0.0
-        for (two_x, rate, offset, w), rho in zip(modes_at, (common[rows], rest[rows])):
+        for (two_x, rate, offset, w), rho in zip(modes_at, (common, rest)):
             u = rate * shift  # q - 1
             ln_q = np.log1p(np.maximum(u, -0.5))
             far = u <= -0.5

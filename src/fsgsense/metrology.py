@@ -28,7 +28,7 @@ class StructuredFim:
         if self.M < 2:
             raise DomainError(f"M must be >= 2, got {self.M}")
         scale = max(1.0, abs(self.a) + self.M * abs(self.b))
-        if self.a < -1e-12 * scale or self.a + self.M * self.b < -1e-12 * scale:
+        if not (self.a >= -1e-12 * scale and self.a + self.M * self.b >= -1e-12 * scale):
             raise DomainError(
                 f"structured Fisher matrix not PSD: a={self.a}, b={self.b}"
             )

@@ -9,8 +9,8 @@ the QFIM comes from metrology.chart_fisher_coeffs, so the search, the
 reported values and reference.scan_free_parameter share one closed form.
 The result carries the optimum's chart (OptResult.params), not its
 covariance blocks.  Rows (M, n_th, N_tot) sharing an objective are
-optimized as one batch, with golden-section on every privacy row in
-lockstep.  The single-row functions are batches of one.
+optimized as one batch: privacy runs one lockstep golden-section search
+over every row.  The single-row functions are batches of one.
 """
 
 from __future__ import annotations
@@ -79,9 +79,10 @@ def optimize_batch(
       b(-t) - b(t) is proportional to sinh^2(s+t) - sinh^2(s-t) >= 0, by
       cosh 2x = 1 + 2 sinh^2 x.  So 1 - P(-t) <= 1 - P(t), and the
       half-interval [-t_max, 0] holds the global optimum; one lockstep
-      golden-section search minimizes 1 - P there.  That 1 - P has a
-      single local minimum on the half-interval is observed, not proven;
-      the tests check the result against a dense full-interval grid.
+      golden-section search over every row minimizes 1 - P there (a row
+      with t_max = 0 starts closed, at t = 0).  That 1 - P has a single
+      local minimum there is observed, not proven; the tests check the
+      result against a dense full-interval grid.
 
     Raises InfeasibleError if a row's budget is below its thermal floor,
     and NumericalError if its Fisher information would overflow (N_eff or
@@ -107,16 +108,14 @@ def optimize_batch(
 
     t_star = np.zeros(len(rows))
     iterations = np.zeros(len(rows), dtype=int)
-    search = np.flatnonzero((t_max > 0.0) & (objective == "privacy"))
-    if search.size:
+    if objective == "privacy":
 
-        def neg_omp(t, r):
-            idx = search[r]
-            s = kernels.family_states(t, m[idx], n_eff[idx])
-            return -_chart_values(m[idx], nu[idx], n2[idx], s, t)[3]
+        def neg_omp(t):
+            s = kernels.family_states(t, m, n_eff)
+            return -_chart_values(m, nu, n2, s, t)[3]
 
-        t_star[search], _, _, iterations[search] = kernels.golden_max(
-            neg_omp, -t_max[search], np.zeros(search.size), BRACKET_TOL
+        t_star, _, _, iterations = kernels.golden_max(
+            neg_omp, -t_max, np.zeros_like(t_max), BRACKET_TOL
         )
     s_star = kernels.family_states(t_star, m, n_eff)
     a, b, xi, omp = _chart_values(m, nu, n2, s_star, t_star)

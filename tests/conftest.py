@@ -103,14 +103,13 @@ def full_z_scan(f, lo, hi):
     step = kernels.Z_STEP
     steps = np.ceil((hi - lo) / step) + 1
     index = np.arange(np.max(steps))[:, None]
-    rows = np.arange(lo.size)
-    values = f(lo + step * index, rows)
+    values = f(lo + step * index)
     values[index >= steps] = -np.inf  # past the row's own grid
     best = np.argmax(values, axis=0)
     z0 = lo + step * best
     z = kernels.golden_max(f, z0 - step, z0 + step, kernels.Z_TOL)[0]
     edge = (z - lo < step) | (lo + step * (steps - 1) - z < step)
-    return z, values[best, rows], edge
+    return z, values[best, np.arange(lo.size)], edge
 
 
 def same_fields(x, y) -> bool:

@@ -11,6 +11,8 @@ from fsgsense.family import (
     free_parameter_range,
     squeezed_photons,
 )
+from fsgsense.homodyne import McConfig, homodyne_fim, mc_estimate
+from fsgsense.optimize import maximize_precision, maximize_privacy
 from fsgsense.reference import (
     FsgBlocks,
     blocks_from_params,
@@ -107,6 +109,28 @@ def test_thermal_floor_raises():
     with pytest.raises(InfeasibleError):
         check_budget(3, 0.1, 0.3)
     check_budget(2, 5.0, 10.0)
+
+
+_STATE = FsgParams(M=3, n_th=0.0, s=1.0, t=-0.3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: maximize_privacy(3, -1.0, 10.0),
+        lambda: maximize_privacy(1, 0.0, 10.0),
+        lambda: maximize_privacy(3, 0.0, float("nan")),
+        lambda: maximize_precision(3, float("nan"), 10.0),
+        lambda: mc_estimate(_STATE, float("nan"), McConfig(100, 10, 1)),
+        lambda: homodyne_fim(_STATE, float("nan")),
+    ],
+    ids=["negative_n_th", "M_1", "nan_N_tot", "nan_n_th", "nan_z_hd", "nan_angle"],
+)
+def test_invalid_input_raises_domain_error_before_any_arithmetic(call):
+    # numpy warnings are errors in this suite, so a warning from arithmetic
+    # on the bad input would surface here instead of the DomainError
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_free_parameter_range_zero_at_the_floor():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fsgsense import homodyne
 from fsgsense.errors import DomainError, NumericalError
-from fsgsense.family import FsgParams
+from fsgsense.family import FsgParams, squeezed_photons
 from fsgsense import kernels
 from fsgsense.homodyne import (
     McConfig,
@@ -17,7 +17,8 @@ from fsgsense.homodyne import (
     optimize_homodyne_angle,
     optimize_homodyne_angles,
 )
-from fsgsense.optimize import maximize_privacy
+from fsgsense.metrology import one_minus_privacy_from_ab
+from fsgsense.optimize import maximize_privacy, optimize_batch
 from fsgsense.reference import (
     blocks_from_params,
     homodyne_cov,
@@ -184,6 +185,44 @@ def test_precision_ratio_anchors():
 
     assert ratio(2, 0.0, 10.0) == pytest.approx(0.5, abs=0.05)
     assert ratio(4, 0.0, 100.0) > 0.99
+
+
+def _leakage(rows, objective):
+    """(1 - P_hd, 1 - P) of each row's optimum, homodyne at its best angle."""
+    optima = optimize_batch(rows, objective)
+    angles = optimize_homodyne_angles([r.params for r in optima])
+    hd = [
+        one_minus_privacy_from_ab(h.fim.a, h.fim.b, r.params.M, 1.0 / r.params.M)
+        for r, h in zip(optima, angles)
+    ]
+    return np.array(hd), np.array([r.one_minus_privacy for r in optima])
+
+
+def test_homodyne_leakage_at_the_precision_optimum():
+    # at t = 0, r_t = 0, so xi_hd peaks at z* = 2s, where 1 - P_hd =
+    # (M-1) sech 2s / ((M-1) sech 2s + 2) = (M-1) / (M + 1 + 4 N_eff): half
+    # the QFIM's (M-1) / (M + 1 + 2 N_eff) as N_eff grows.  z* is found to
+    # about sqrt(eps) on the flat maximum, which moves sech z* by as much
+    rows = [
+        (m, n_th, m * n_th + (1.0 + 2.0 * n_th) * n_eff)
+        for m in (2, 3, 10, 1000, 10**6)
+        for n_th in (0.0, 1.0, 5.0)
+        for n_eff in np.logspace(0, 140, 29)
+    ]
+    hd, qfim = _leakage(rows, "precision")
+    m = np.array([row[0] for row in rows], dtype=float)
+    n_eff = np.array([squeezed_photons(*row) for row in rows])
+    assert hd == pytest.approx((m - 1.0) / (m + 1.0 + 4.0 * n_eff), rel=1e-7)
+    assert qfim == pytest.approx((m - 1.0) / (m + 1.0 + 2.0 * n_eff), rel=1e-12)
+
+
+def test_homodyne_leakage_at_the_privacy_optimum_is_a_third_of_the_qfim():
+    # at z* = 2s homodyne sees the t modes through sech(2s - 2t) ~ 2 e^{2t-2s}:
+    # 1 - P_hd ~ (M-1) e^{2t-2s}, half the first term of the QFIM's
+    # 1 - P ~ (M-1) [2 e^{2t-2s} + (M-2) e^{-4t-4s}], and that term is 2/3
+    # of 1 - P* at t*
+    hd, qfim = _leakage([(m, 0.0, 1e12) for m in (3, 10, 1000)], "privacy")
+    assert hd / qfim == pytest.approx(np.full(3, 1.0 / 3.0), abs=1e-6)
 
 
 # ------------------------------------------------------------- Monte Carlo

@@ -216,6 +216,27 @@ def test_batch_rows_do_not_depend_on_their_neighbours():
     assert optimize_batch([], "privacy") == []
 
 
+def test_privacy_search_sees_every_row_of_the_batch(monkeypatch):
+    # rows of different t_max, two without any (N = 0 and a row at the
+    # thermal floor): every call of the objective gets one point per row,
+    # and the rows without room start closed and keep t = 0
+    rows = [(3, 0.0, 10.0), (2, 0.0, 1e6), (4, 0.0, 0.0), (3, 1.0, 3.0), (1000, 0.5, 1e4)]
+    golden = kernels.golden_max
+    shapes = []
+
+    def spy(f, lo, hi, tol):
+        def counted(x):
+            shapes.append(np.shape(x))
+            return f(x)
+
+        return golden(counted, lo, hi, tol)
+
+    monkeypatch.setattr(kernels, "golden_max", spy)
+    results = optimize_batch(rows, "privacy")
+    assert len(shapes) > 2 and set(shapes) == {(len(rows),)}
+    assert [(r.params.t, r.iterations) for r in results[2:4]] == [(0.0, 0)] * 2
+
+
 def test_subnormal_fisher_information_raises():
     # M is below MAX_CHART_N, but b ~ 8 N / M^2 is subnormal
     for objective in ("precision", "privacy"):
