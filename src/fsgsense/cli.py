@@ -45,28 +45,29 @@ MAX_ARRAY_LEN = 2**53
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One row of a figure-reproduction sweep; schema is frozen."""
+    """One row of a figure-reproduction sweep; schema is frozen.  A row below
+    the thermal floor is the defaults: infeasible, every value None."""
 
     M: int
     n_th: float
     N_tot: float
     objective: str
-    t_star: float | None
-    s_star: float | None
-    eps1: float | None
-    eps2: float | None
-    gam1: float | None
-    gam2: float | None
-    F11: float | None
-    F12: float | None
-    xi: float | None
-    xi_ratio_to_opt: float | None
-    privacy: float | None
-    one_minus_privacy: float | None
-    theta_hd_star: float | None
-    xi_hd: float | None
-    r_hd: float | None
-    feasible: bool
+    t_star: float | None = None
+    s_star: float | None = None
+    eps1: float | None = None
+    eps2: float | None = None
+    gam1: float | None = None
+    gam2: float | None = None
+    F11: float | None = None
+    F12: float | None = None
+    xi: float | None = None
+    xi_ratio_to_opt: float | None = None
+    privacy: float | None = None
+    one_minus_privacy: float | None = None
+    theta_hd_star: float | None = None
+    xi_hd: float | None = None
+    r_hd: float | None = None
+    feasible: bool = False
 
 
 CSV_FIELDS = [f.name for f in dataclasses.fields(SweepRecord)]
@@ -77,19 +78,10 @@ def _record(
     n_th: float,
     N_tot: float,
     objective: str,
-    result: OptResult | None,
+    result: OptResult,
     hd: HomodyneOpt | None,
 ) -> SweepRecord:
-    """Flatten one row's optimum (None: infeasible) and homodyne optimum."""
-    if result is None:
-        empty = {
-            name: None
-            for name in CSV_FIELDS
-            if name not in ("M", "n_th", "N_tot", "objective", "feasible")
-        }
-        return SweepRecord(
-            M=M, n_th=n_th, N_tot=N_tot, objective=objective, feasible=False, **empty
-        )
+    """Flatten a feasible row's optimum and homodyne optimum (None: empty cells)."""
     params, fim = result.params, result.fim
     eps1, eps2, gam1, gam2 = chart_blocks(params.M, params.nu, params.s, params.t)
     return SweepRecord(
@@ -128,18 +120,22 @@ def _compute_records(points, objective: str, homodyne: bool) -> list[SweepRecord
     """Records of (M, n_th, N_tot) points under one objective, in order.
 
     The feasible points are optimized as one batch; with homodyne, so are
-    the angles of the optima.  Points below the floor, and optima without
-    homodyne information, keep empty homodyne cells.
+    the angles of the optima.  Optima without homodyne information keep
+    empty homodyne cells.
     """
-    feasible = [i for i, point in enumerate(points) if _feasible(*point)]
-    optima = optimize_batch([points[i] for i in feasible], objective)
-    results = dict(zip(feasible, optima))
-    angles = {}
+    feasible = [_feasible(*point) for point in points]
+    rows = [point for point, ok in zip(points, feasible) if ok]
+    optima = optimize_batch(rows, objective)
+    angles = [None] * len(rows)
     if homodyne:
-        angles = dict(zip(feasible, optimize_homodyne_angles([r.params for r in optima])))
+        angles = optimize_homodyne_angles([r.params for r in optima])
+    records = (
+        _record(*row, objective, result, hd)
+        for row, result, hd in zip(rows, optima, angles)
+    )
     return [
-        _record(*point, objective, results.get(i), angles.get(i))
-        for i, point in enumerate(points)
+        next(records) if ok else SweepRecord(*point, objective)
+        for point, ok in zip(points, feasible)
     ]
 
 

@@ -12,6 +12,7 @@ the one product function that writes the block format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,10 @@ class FsgParams:
     def __post_init__(self):
         if self.M < 2:
             raise DomainError(f"M must be >= 2, got {self.M}")
-        if self.n_th < 0.0:
+        if not self.n_th >= 0.0:
             raise DomainError(f"n_th must be >= 0, got {self.n_th}")
+        if not (math.isfinite(self.s) and math.isfinite(self.t)):
+            raise DomainError(f"s and t must be finite, got s={self.s}, t={self.t}")
 
     @property
     def nu(self) -> float:

@@ -95,7 +95,12 @@ def chart_homodyne_coeffs(m, s, t, z):
 
 def homodyne_fim(params: FsgParams, theta_hd: float) -> StructuredFim:
     """Classical Fisher matrix of equal-angle homodyne detection on the
-    chart state params, in its a I + b J form (chart_homodyne_coeffs)."""
+    chart state params, in its a I + b J form (chart_homodyne_coeffs).
+
+    Raises DomainError for a non-finite theta_hd.
+    """
+    if not math.isfinite(theta_hd):
+        raise DomainError(f"theta_hd must be finite, got {theta_hd}")
     with np.errstate(divide="ignore"):  # z = -inf at theta_hd = 0
         z = np.log(np.abs(np.tan(theta_hd)))
     a, b, _ = chart_homodyne_coeffs(params.M, params.s, params.t, z)

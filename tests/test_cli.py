@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -212,6 +213,26 @@ def test_benchmark_imports_resolve():
     for dotted in sorted(TRACED_PATHS):
         module, _, attr = dotted.rpartition(".")
         assert callable(getattr(importlib.import_module(module), attr, None)), dotted
+
+
+def test_figures_pass_the_benchmark_output_checks(runner, tmp_path, monkeypatch):
+    # the benchmark's own checks: every feasible row against the dense QFIM,
+    # the 4,001-point grid and the dense homodyne FIM, and the mc band
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    checks = importlib.import_module("checks")
+    result = runner.invoke(main, ["figures", "--outdir", str(tmp_path), "--which", "2,3,4"])
+    assert result.exit_code == 0, result.output
+    for fig in (2, 3, 4):
+        path = tmp_path / f"fig{fig}.csv"
+        found = checks.check_figure(path, fig, random.Random(fig), checks.FIG_ROWS)
+        assert (found["failed"], found["problems"]) == (0, [])
+    result = runner.invoke(
+        main, ["mc", "--M", "2", "--nth", "0", "--N", "1", "--samples", "50000",
+               "--trials", "1000", "--seed", "7"],
+    )
+    assert result.exit_code == 0, result.output
+    payload = _strict_json(result.output)
+    assert checks.check_mc({"samples": 50000, "trials": 1000}, payload) == []
 
 
 # ------------------------------------------------------------- exit codes
@@ -445,6 +466,20 @@ def test_sweep_writes_expected_csv(runner, tmp_path):
     assert float(first["xi"]) == pytest.approx(16.0, rel=1e-6)
     # no homodyne requested: columns stay empty
     assert first["theta_hd_star"] == ""
+
+
+def test_csv_schema_is_frozen():
+    # the README's column list, in order
+    assert CSV_FIELDS == [
+        "M", "n_th", "N_tot", "objective", "t_star", "s_star", "eps1", "eps2",
+        "gam1", "gam2", "F11", "F12", "xi", "xi_ratio_to_opt", "privacy",
+        "one_minus_privacy", "theta_hd_star", "xi_hd", "r_hd", "feasible",
+    ]
+    # below the floor a record is the defaults: infeasible, every value None
+    record = compute_record(4, 5.0, 10.0, "privacy", True)
+    assert record == cli.SweepRecord(4, 5.0, 10.0, "privacy")
+    assert record.feasible is False
+    assert all(getattr(record, name) is None for name in CSV_FIELDS[4:-1])
 
 
 def test_sweep_is_deterministic(runner, tmp_path):

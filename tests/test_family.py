@@ -11,7 +11,12 @@ from fsgsense.family import (
     free_parameter_range,
     squeezed_photons,
 )
-from fsgsense.homodyne import McConfig, homodyne_fim, mc_estimate
+from fsgsense.homodyne import (
+    McConfig,
+    homodyne_fim,
+    mc_estimate,
+    optimize_homodyne_angle,
+)
 from fsgsense.optimize import maximize_precision, maximize_privacy
 from fsgsense.reference import (
     FsgBlocks,
@@ -123,8 +128,19 @@ _STATE = FsgParams(M=3, n_th=0.0, s=1.0, t=-0.3)
         lambda: maximize_precision(3, float("nan"), 10.0),
         lambda: mc_estimate(_STATE, float("nan"), McConfig(100, 10, 1)),
         lambda: homodyne_fim(_STATE, float("nan")),
+        lambda: homodyne_fim(_STATE, float("inf")),
+        lambda: homodyne_fim(_STATE, float("-inf")),
+        lambda: FsgParams(3, float("nan"), 1.0, 0.0),
+        lambda: optimize_homodyne_angle(FsgParams(3, 0.0, float("nan"), -0.3)),
+        lambda: mc_estimate(
+            FsgParams(3, 0.0, float("nan"), -0.3), 0.5, McConfig(100, 10, 1)
+        ),
+        lambda: FsgParams(3, 0.0, 1.0, float("inf")),
+        lambda: FsgParams(3, 0.0, float("-inf"), 0.0),
     ],
-    ids=["negative_n_th", "M_1", "nan_N_tot", "nan_n_th", "nan_z_hd", "nan_angle"],
+    ids=["negative_n_th", "M_1", "nan_N_tot", "nan_n_th", "nan_z_hd", "nan_angle",
+         "inf_angle", "minus_inf_angle", "nan_chart_n_th", "nan_s_angle_search",
+         "nan_s_mc", "inf_t", "minus_inf_s"],
 )
 def test_invalid_input_raises_domain_error_before_any_arithmetic(call):
     # numpy warnings are errors in this suite, so a warning from arithmetic

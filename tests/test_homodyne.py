@@ -225,6 +225,25 @@ def test_homodyne_leakage_at_the_privacy_optimum_is_a_third_of_the_qfim():
     assert hd / qfim == pytest.approx(np.full(3, 1.0 / 3.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("objective", ["precision", "privacy"])
+def test_homodyne_leakage_at_the_optimized_angle_matches_the_dense_fim(objective):
+    # N <= 1000: beyond it the reference blocks of a privacy optimum can fail
+    # FsgBlocks' absolute vacuum slack, as eps - gam rounds at the size of eps
+    rows = [
+        (m, n_th, n_tot)
+        for m in range(2, 9)
+        for n_th in (0.0, 1.0)
+        for n_tot in (0.5, 3.0, 30.0, 300.0, 1000.0)
+        if n_tot > m * n_th
+    ]
+    optima = optimize_batch(rows, objective)
+    for r, hd in zip(optima, optimize_homodyne_angles([r.params for r in optima])):
+        m, n2 = r.params.M, 1.0 / r.params.M
+        a, b = dense_homodyne_fim(blocks_from_params(r.params), hd.theta_star)
+        chart = one_minus_privacy_from_ab(hd.fim.a, hd.fim.b, m, n2)
+        assert chart == pytest.approx(one_minus_privacy_from_ab(a, b, m, n2), abs=1e-12)
+
+
 # ------------------------------------------------------------- Monte Carlo
 
 
