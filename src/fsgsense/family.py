@@ -5,9 +5,10 @@ parameter s and an orthogonal-modes squeezing parameter t, on top of a
 common thermal occupation n_th.  The construction makes both symplectic
 eigenvalues equal to nu = 1 + 2 n_th by design, so isothermality never has
 to be solved for.  At fixed total photon number the family is a
-one-parameter manifold in t.  The chart is the canonical representation:
-chart_blocks derives the covariance blocks from it for the report, and is
-the one product function that writes the block format.
+one-parameter manifold in t, and solve_s gives its s.  The chart is the
+canonical representation: chart_blocks derives the covariance blocks from
+it for the report, and is the one product function that writes the block
+format.
 """
 
 from __future__ import annotations
@@ -93,8 +94,17 @@ def free_parameter_range(M: int, n_th: float, N_tot: float) -> float:
     """Largest |t| compatible with the photon budget.
 
     (M-1) sinh^2(t_max) = N_eff (see squeezed_photons); the photon
-    constraint has a solution s >= 0 (kernels.family_states) exactly for
-    t in [-t_max, t_max].
+    constraint has a solution s >= 0 (solve_s) exactly for t in
+    [-t_max, t_max].
     """
     check_budget(M, n_th, N_tot)
     return float(np.arcsinh(np.sqrt(squeezed_photons(M, n_th, N_tot) / (M - 1))))
+
+
+def solve_s(t, M, n_eff):
+    """Squeezing s >= 0 of the family states at free parameter t, from the
+    photon constraint sinh^2 s + (M-1) sinh^2 t = n_eff (squeezed_photons);
+    (M, nu, s, t) is the state's chart.  Array-aware."""
+    m = np.asarray(M, dtype=float)
+    # endpoint rounding; inside [-t_max, t_max] the square is >= 0
+    return np.arcsinh(np.sqrt(np.maximum(n_eff - (m - 1.0) * np.sinh(t) ** 2, 0.0)))

@@ -82,14 +82,16 @@ def chart_homodyne_coeffs(m, s, t, z):
     a = (sinh 2s + sinh 2t)^2 sech(z - 2s) sech(z - 2t) / M
         + (M-2) r_t^2 / (2M),
     b = (xi_hd / M - a) / M.
-    None of them depends on nu.  Each peak of xi_hd has unit width in z
-    whatever s and t are, and z = +-inf (theta_hd = 0 or pi/2) gives zeros.
+    None of them depends on nu.  sinh 2s + sinh 2t = 2 sinh(s+t) cosh(s-t)
+    does not cancel near t = -s (the M = 2 privacy optimum), but b still
+    cancels away from z*.  Each peak of xi_hd has unit width in z whatever
+    s and t are, and z = +-inf (theta_hd = 0 or pi/2) gives zeros.
     """
     sech_s, sech_t = kernels.sech(z - 2.0 * s), kernels.sech(z - 2.0 * t)
-    sinh_s, sinh_t = np.sinh(2.0 * s), np.sinh(2.0 * t)
-    r_s, r_t = 2.0 * sinh_s * sech_s, 2.0 * sinh_t * sech_t
+    r_s, r_t = 2.0 * np.sinh(2.0 * s) * sech_s, 2.0 * np.sinh(2.0 * t) * sech_t
     xi = 0.5 * ((m - 1.0) * r_t * r_t + r_s * r_s)
-    a = (sinh_s + sinh_t) ** 2 * sech_s * sech_t / m + (m - 2.0) * r_t * r_t / (2.0 * m)
+    sinh_sum = 2.0 * np.sinh(s + t) * np.cosh(s - t)  # sinh 2s + sinh 2t
+    a = sinh_sum**2 * sech_s * sech_t / m + (m - 2.0) * r_t * r_t / (2.0 * m)
     return a, (xi / m - a) / m, xi
 
 

@@ -1,7 +1,9 @@
-"""Hot numeric kernels, written as numpy array expressions.
+"""Hot numeric kernels, written as numpy array expressions: the lockstep
+searches (golden_max, z_search) and the Monte-Carlo likelihood
+(mle_trials).
 
-Per-row chart parameters (modes, s, t, n_eff) broadcast against the
-trailing axis, so an array of points evaluates many states at once.
+Per-row parameters broadcast against the trailing axis, so an array of
+points evaluates many rows at once.
 """
 
 import math
@@ -17,18 +19,6 @@ _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 Z_STEP = 0.25
 Z_PAD = 2.0
 Z_TOL = 1e-10
-
-
-def family_states(ts, modes, n_eff):
-    """Squeezing s of the isothermal-family states at free parameter t.
-
-    Solves the photon constraint in normal modes,
-    sinh^2 s + (modes-1) sinh^2 t = n_eff (family.squeezed_photons), on
-    the s >= 0 branch; (modes, nu, s, t) is the state's chart.
-    """
-    m = np.asarray(modes, dtype=float)
-    # endpoint rounding; inside [-t_max, t_max] the square is >= 0
-    return np.arcsinh(np.sqrt(np.maximum(n_eff - (m - 1.0) * np.sinh(ts) ** 2, 0.0)))
 
 
 def golden_max(f, lo, hi, tol):

@@ -77,14 +77,16 @@ def privacy_from_ab(a, b, m, n2):
     return np.divide(n2 * a + b, den, out=out, where=a + b > 0.0)
 
 
-def one_minus_privacy_from_ab(a, b, m, n2):
-    """1 - P = [(M-1) n2 a + (M n2 - 1) b] / [M n2 (a + b)] of F = a I + b J.
+def one_minus_privacy_from_ab(a, b, m):
+    """Mean-weight 1 - P = (M-1) a / [M (a + b)] of F = a I + b J.
 
-    For a, b >= 0 every term is non-negative (M n2 >= 1 by Cauchy-Schwarz;
-    it is clamped there against rounding), so 1 - P keeps its relative
-    accuracy as P -> 1.  Array-aware; NaN where a + b is not positive.
+    For a, b >= 0 nothing cancels, so 1 - P keeps its relative accuracy as
+    P -> 1.  Array-aware; NaN where a + b is not positive.
     """
-    num = (m - 1.0) * n2 * a + np.maximum(m * n2 - 1.0, 0.0) * b
+    # the n2 = 1/M form, whose (M n2 - 1) b term is 0 as fl(M fl(1/M)) <= 1;
+    # golden-section fixes t* to ~1e-8, and dividing n2 out moved it by 5e-8
+    n2 = 1.0 / m
+    num = (m - 1.0) * n2 * a
     den = m * n2 * (a + b)
     out = np.full(np.shape(den), np.nan)
     return np.divide(num, den, out=out, where=a + b > 0.0)

@@ -4,9 +4,9 @@ Both objectives (estimation precision and privacy) are smooth scalar
 functions of t on [-t_max, t_max].  The algebra fixes the precision
 optimum at t = 0 and confines the privacy optimum to [-t_max, 0], where a
 golden-section search finds it (see optimize_batch).  Every state is
-handled in its chart (M, nu, s, t): s solves the photon constraint, and
-the QFIM comes from metrology.chart_fisher_coeffs, so the search, the
-reported values and reference.scan_free_parameter share one closed form.
+handled in its chart (M, nu, s, t), and one evaluator, _chart_values,
+serves the search, the reported optimum, the t = 0 reference and
+reference.scan_free_parameter.
 The result carries the optimum's chart (OptResult.params), not its
 covariance blocks.  Rows (M, n_th, N_tot) sharing an objective are
 optimized as one batch: privacy runs one lockstep golden-section search
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericalError
-from .family import FsgParams, free_parameter_range, squeezed_photons
+from .family import FsgParams, free_parameter_range, solve_s, squeezed_photons
 from .metrology import (
     StructuredFim,
     chart_fisher_coeffs,
@@ -51,12 +51,13 @@ class OptResult:
     iterations: int
 
 
-def _chart_values(m, nu, n2, s, t):
-    """QFIM (a, b), xi and 1 - P of the chart states (M, nu, s, t); rows
-    broadcast on the last axis.  1 - P keeps its relative accuracy as
-    P -> 1, so the privacy search minimizes it."""
+def _chart_values(m, nu, n_eff, t):
+    """s (family.solve_s), QFIM (a, b), xi and 1 - P of the family states
+    at t; rows broadcast on the last axis.  1 - P keeps its relative
+    accuracy as P -> 1, so the privacy search minimizes it."""
+    s = solve_s(t, m, n_eff)
     a, b = chart_fisher_coeffs(m, nu, s, t)
-    return a, b, xi_from_ab(a, b, m), one_minus_privacy_from_ab(a, b, m, n2)
+    return s, a, b, xi_from_ab(a, b, m), one_minus_privacy_from_ab(a, b, m)
 
 
 def optimize_batch(
@@ -104,21 +105,15 @@ def optimize_batch(
             f"M={M:.3g} or photon budget N_tot={N!r} at n_th={nth!r} is too large: "
             "the Fisher information overflows"
         )
-    n2 = 1.0 / m
 
     t_star = np.zeros(len(rows))
     iterations = np.zeros(len(rows), dtype=int)
     if objective == "privacy":
-
-        def neg_omp(t):
-            s = kernels.family_states(t, m, n_eff)
-            return -_chart_values(m, nu, n2, s, t)[3]
-
         t_star, _, _, iterations = kernels.golden_max(
-            neg_omp, -t_max, np.zeros_like(t_max), BRACKET_TOL
+            lambda t: -_chart_values(m, nu, n_eff, t)[4],
+            -t_max, np.zeros_like(t_max), BRACKET_TOL,
         )
-    s_star = kernels.family_states(t_star, m, n_eff)
-    a, b, xi, omp = _chart_values(m, nu, n2, s_star, t_star)
+    s_star, a, b, xi, omp = _chart_values(m, nu, n_eff, t_star)
     tiny = np.finfo(float).tiny
     lost = (a > 0.0) & (a < tiny) | (b > 0.0) & (b < tiny) | (n_eff > 0.0) & (a + b == 0.0)
     if lost.any():
@@ -127,11 +122,11 @@ def optimize_batch(
             f"the Fisher information of M={M!r}, N_tot={N!r} at n_th={nth!r} "
             "underflows to zero or a subnormal number"
         )
-    p = privacy_from_ab(a, b, m, n2)
+    p = privacy_from_ab(a, b, m, 1.0 / m)
     # the precision optimum is the t = 0 state (see the docstring), so a
     # ratio above 1 is rounding between two closed-form evaluations and is
     # clamped
-    best_xi = _chart_values(m, nu, n2, kernels.family_states(0.0, m, n_eff), 0.0)[2]
+    best_xi = _chart_values(m, nu, n_eff, 0.0)[3]
     ratio = np.divide(xi, best_xi, out=np.ones(len(rows)), where=best_xi > 0.0)
     ratio = np.minimum(ratio, 1.0)
     return [

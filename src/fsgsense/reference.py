@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, NumericalError
 from .family import FsgParams, chart_blocks, free_parameter_range, squeezed_photons
-from .metrology import StructuredFim, chart_fisher_coeffs, privacy_from_ab, xi_from_ab
+from .metrology import StructuredFim, privacy_from_ab, xi_from_ab
+from .optimize import _chart_values
 from .symplectic import CovarianceState, fsg_symplectic_eigenvalues, symplectic_form
 
-#: Eigenvalue slack allowed below the vacuum limit nu = 1.
+#: Eigenvalue slack allowed below the vacuum limit nu = 1, at entries of
+#: order 1 (FsgBlocks scales it with the entries).
 _TOL_NU = 1e-9
 
 #: Relative tolerance governing the regular/pseudo inverse switch.
@@ -39,8 +40,14 @@ class FsgBlocks:
     def __post_init__(self):
         if self.M < 2:
             raise DomainError(f"M must be >= 2, got {self.M}")
+        m, e1, e2, g1, g2 = self.M, self.eps1, self.eps2, self.gam1, self.gam2
         nu_minus, nu_plus = fsg_symplectic_eigenvalues(self)
-        if nu_minus < 1.0 - _TOL_NU or nu_plus < 1.0 - _TOL_NU:
+        # nu-^2 = f1 f2 and nu+^2 = f3 f4 with f = eps -+ gam (symplectic),
+        # and f rounds at the size of eps, so nu^2 moves by a few times
+        # 2^-53 (eps1 f' + eps2 f); the slack adds 2^-50 times the sum of
+        # both, with f2 + f4 = 2 eps2 + (M-2) gam2 and so on
+        rounding = e1 * (2.0 * e2 + (m - 2) * g2) + e2 * (2.0 * e1 + (m - 2) * g1)
+        if min(nu_minus, nu_plus) < 1.0 - _TOL_NU - 2.0**-50 * rounding:
             raise DomainError(
                 f"symplectic eigenvalues below vacuum: nu-={nu_minus}, nu+={nu_plus}"
             )
@@ -237,28 +244,17 @@ def precision(fim: StructuredFim, weights: WeightVector) -> float:
     return float(1.0 / inv_quad)
 
 
-def privacy(fim: StructuredFim | np.ndarray, weights: WeightVector) -> float:
-    """Privacy parameter P = Tr(W F) / (||w||_2^2 Tr F) with W = w w^T.
+def privacy(fim: StructuredFim, weights: WeightVector) -> float:
+    """Privacy parameter P = Tr(W F) / (||w||_2^2 Tr F) with W = w w^T,
+    for F = a I + b J: P = (||w||_2^2 a + b) / (M ||w||_2^2 (a + b)).
 
-    Structured inputs use the specialization
-    P = (||w||_2^2 a + b) / (M ||w||_2^2 (a + b)); dense PSD matrices are
-    evaluated directly (an extension used for reporting the homodyne FIM).
     Raises NumericalError on a vanishing trace (vacuum: 0/0).
     """
-    if isinstance(fim, StructuredFim):
-        if fim.M != weights.M:
-            raise DomainError("Fisher matrix and weight vector sizes differ")
-        trace = fim.M * (fim.a + fim.b)
-        if trace <= 1e-300:
-            raise NumericalError("privacy undefined: Fisher matrix has zero trace")
-        return float(privacy_from_ab(fim.a, fim.b, fim.M, weights.norm2_sq))
-    dense = np.asarray(fim, dtype=float)
-    if dense.shape != (weights.M, weights.M):
+    if fim.M != weights.M:
         raise DomainError("Fisher matrix and weight vector sizes differ")
-    trace = float(np.trace(dense))
-    if trace <= 1e-300:
+    if fim.M * (fim.a + fim.b) <= 1e-300:
         raise NumericalError("privacy undefined: Fisher matrix has zero trace")
-    return float((weights.w @ dense @ weights.w) / (weights.norm2_sq * trace))
+    return float(privacy_from_ab(fim.a, fim.b, fim.M, weights.norm2_sq))
 
 
 def closed_form_privacy_of_optimum(M: int, N_tot: float) -> float:
@@ -389,9 +385,10 @@ def scan_free_parameter(
         raise DomainError(f"grid_points must be >= 3, got {grid_points}")
     t_max = free_parameter_range(M, n_th, N_tot)
     ts = np.linspace(-t_max, t_max, grid_points)
-    s = kernels.family_states(ts, M, squeezed_photons(M, n_th, N_tot))
-    a, b = chart_fisher_coeffs(M, 1.0 + 2.0 * n_th, s, ts)
-    xi_arr, p_arr = xi_from_ab(a, b, M), privacy_from_ab(a, b, M, 1.0 / M)
+    _, a, b, xi_arr, _ = _chart_values(
+        M, 1.0 + 2.0 * n_th, squeezed_photons(M, n_th, N_tot), ts
+    )
+    p_arr = privacy_from_ab(a, b, M, 1.0 / M)
     return [
         ScanPoint(t=float(t), xi=float(x), privacy=float(p))
         for t, x, p in zip(ts, xi_arr, p_arr)

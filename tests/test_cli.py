@@ -175,7 +175,7 @@ TRACED_PATHS = {
     "fsgsense.cli.maximize_privacy", "fsgsense.cli.optimize_homodyne_angle",
     "fsgsense.cli.mc_estimate", "fsgsense.optimize.maximize_precision",
     "fsgsense.optimize.maximize_privacy", "fsgsense.kernels.mle_trials",
-    "fsgsense.homodyne.homodyne_fim",
+    "fsgsense.homodyne.homodyne_fim", "fsgsense.optimize.solve_s",
 }
 
 

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsgsense import kernels
 from fsgsense.errors import DomainError, InfeasibleError
 from fsgsense.family import (
     FsgParams,
     check_budget,
     free_parameter_range,
+    solve_s,
     squeezed_photons,
 )
 from fsgsense.homodyne import (
@@ -29,6 +29,7 @@ from fsgsense.reference import (
     tmsv_blocks,
     total_photons,
 )
+from fsgsense.symplectic import fsg_symplectic_eigenvalues
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -47,6 +48,19 @@ def test_blocks_validation():
     with pytest.raises(DomainError):
         # below the vacuum limit
         FsgBlocks(M=2, eps1=0.5, eps2=0.5, gam1=0.0, gam2=0.0)
+    with pytest.raises(DomainError):
+        # the slack scales with the entries, not with a deficit at eps ~ 1
+        FsgBlocks(M=2, eps1=0.99, eps2=0.99, gam1=0.0, gam2=0.0)
+
+
+@pytest.mark.parametrize("n_tot, deficit", [(3e3, 1.2e-9), (1e4, 4.7e-9), (1e6, 1.1e-4)])
+def test_blocks_of_large_privacy_optima_pass_the_vacuum_check(n_tot, deficit):
+    # eps - gam rounds at the size of eps, so nu- of the M = 2 privacy
+    # optimum falls below 1 by more than _TOL_NU; the slack scales with
+    # that rounding, 2^-53 (eps1 f2 + eps2 f1) in nu-^2
+    blocks = blocks_from_params(maximize_privacy(2, 0.0, n_tot).params)
+    nu_minus = fsg_symplectic_eigenvalues(blocks)[0]
+    assert 1.0 - nu_minus == pytest.approx(deficit, rel=0.1)
 
 
 @given(
@@ -87,7 +101,7 @@ def test_family_states_solve_the_photon_constraint(rng):
         n_tot = float(rng.uniform(m * n_th + 0.1, m * n_th + 50.0))
         t_max = free_parameter_range(m, n_th, n_tot)
         t = float(rng.uniform(-t_max, t_max))
-        s = float(kernels.family_states(t, m, squeezed_photons(m, n_th, n_tot)))
+        s = float(solve_s(t, m, squeezed_photons(m, n_th, n_tot)))
         assert s >= 0.0
         blocks = blocks_from_params(FsgParams(M=m, n_th=n_th, s=s, t=t))
         assert total_photons(blocks) == pytest.approx(n_tot, rel=1e-9, abs=1e-9)
@@ -103,7 +117,7 @@ def test_free_parameter_range_bounds_the_photon_constraint():
 
 def test_family_states_endpoint_gives_zero_s():
     t_max = free_parameter_range(4, 1.0, 30.0)
-    s = kernels.family_states(t_max, 4, squeezed_photons(4, 1.0, 30.0))
+    s = solve_s(t_max, 4, squeezed_photons(4, 1.0, 30.0))
     assert s == pytest.approx(0.0, abs=1e-6)
 
 

@@ -192,7 +192,7 @@ def _leakage(rows, objective):
     optima = optimize_batch(rows, objective)
     angles = optimize_homodyne_angles([r.params for r in optima])
     hd = [
-        one_minus_privacy_from_ab(h.fim.a, h.fim.b, r.params.M, 1.0 / r.params.M)
+        one_minus_privacy_from_ab(h.fim.a, h.fim.b, r.params.M)
         for r, h in zip(optima, angles)
     ]
     return np.array(hd), np.array([r.one_minus_privacy for r in optima])
@@ -227,21 +227,45 @@ def test_homodyne_leakage_at_the_privacy_optimum_is_a_third_of_the_qfim():
 
 @pytest.mark.parametrize("objective", ["precision", "privacy"])
 def test_homodyne_leakage_at_the_optimized_angle_matches_the_dense_fim(objective):
-    # N <= 1000: beyond it the reference blocks of a privacy optimum can fail
-    # FsgBlocks' absolute vacuum slack, as eps - gam rounds at the size of eps
+    # the dense FIM holds the bound up to N = 3e7, the largest N here; at
+    # N = 1e8 eps1 - gam1 of the M = 2 privacy optimum rounds to 0, and
+    # FsgBlocks rejects its reference blocks
     rows = [
         (m, n_th, n_tot)
         for m in range(2, 9)
         for n_th in (0.0, 1.0)
-        for n_tot in (0.5, 3.0, 30.0, 300.0, 1000.0)
+        for n_tot in (0.5, 3.0, 30.0, 300.0, 1000.0, 3e3, 1e4, 1e6, 3e7)
         if n_tot > m * n_th
     ]
     optima = optimize_batch(rows, objective)
     for r, hd in zip(optima, optimize_homodyne_angles([r.params for r in optima])):
-        m, n2 = r.params.M, 1.0 / r.params.M
+        m = r.params.M
         a, b = dense_homodyne_fim(blocks_from_params(r.params), hd.theta_star)
-        chart = one_minus_privacy_from_ab(hd.fim.a, hd.fim.b, m, n2)
-        assert chart == pytest.approx(one_minus_privacy_from_ab(a, b, m, n2), abs=1e-12)
+        chart = one_minus_privacy_from_ab(hd.fim.a, hd.fim.b, m)
+        assert chart == pytest.approx(one_minus_privacy_from_ab(a, b, m), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m, n_tot",
+    [(2, 10.0), (2, 1e3), (2, 1e140), (3, 10.0), (3, 1e6), (10, 1e3), (10, 1e140)],
+)
+def test_homodyne_leakage_at_the_privacy_optimum_matches_mpmath(m, n_tot):
+    # near t = -s, at the M = 2 optima, sinh 2s + sinh 2t cancels in
+    # floating point (up to 4e-4 relative in 1 - P_hd); the oracle takes
+    # the plain sum with enough digits to absorb that
+    params = maximize_privacy(m, 0.0, n_tot).params
+    hd = optimize_homodyne_angle(params)
+    with mpmath.workdps(400):
+        s, t, z = (mpmath.mpf(x) for x in (params.s, params.t, hd.z_star))
+        sech_s, sech_t = mpmath.sech(z - 2 * s), mpmath.sech(z - 2 * t)
+        r_s, r_t = 2 * mpmath.sinh(2 * s) * sech_s, 2 * mpmath.sinh(2 * t) * sech_t
+        xi = ((m - 1) * r_t**2 + r_s**2) / 2
+        a = (mpmath.sinh(2 * s) + mpmath.sinh(2 * t)) ** 2 * sech_s * sech_t / m
+        a += (m - 2) * r_t**2 / (2 * m)
+        b = (xi / m - a) / m
+        exact = float((m - 1) * a / (m * (a + b)))
+    got = one_minus_privacy_from_ab(hd.fim.a, hd.fim.b, m)
+    assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 # ------------------------------------------------------------- Monte Carlo

@@ -1,13 +1,13 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsgsense import kernels
 from fsgsense.errors import DomainError, NumericalError
-from fsgsense.family import FsgParams, free_parameter_range, squeezed_photons
+from fsgsense.family import FsgParams, free_parameter_range, solve_s, squeezed_photons
 from fsgsense.metrology import (
     StructuredFim,
     chart_fisher_coeffs,
@@ -106,7 +106,7 @@ def test_chart_closed_form_matches_numeric_oracle_on_the_figure_grid(m):
                 continue
             t_max = free_parameter_range(m, n_th, n_tot)
             for t in (-0.5 * t_max, 0.0, t_max / 3.0):
-                s = kernels.family_states(t, m, squeezed_photons(m, n_th, n_tot))
+                s = solve_s(t, m, squeezed_photons(m, n_th, n_tot))
                 a, b = chart_fisher_coeffs(m, nu, s, t)
                 state = assemble_covariance(blocks_from_params(FsgParams(m, n_th, s, t)))
                 # mixed states need a finer cutoff: their kernel is full rank
@@ -129,10 +129,10 @@ def test_chart_closed_form_is_finite_bounded_and_factorizes(m, n_th, n_tot, u):
     t = u * free_parameter_range(m, n_th, n_tot)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = kernels.family_states(t, m, squeezed_photons(m, n_th, n_tot))
+        s = solve_s(t, m, squeezed_photons(m, n_th, n_tot))
         a, b = chart_fisher_coeffs(m, nu, s, t)
         xi = xi_from_ab(a, b, m)
-        omp = one_minus_privacy_from_ab(a, b, m, mean_weights(m).norm2_sq)
+        omp = one_minus_privacy_from_ab(a, b, m)
         a0, b0 = chart_fisher_coeffs(m, 1.0, s, t)
     assert np.isfinite([a, b, xi]).all() and a >= 0.0 and b >= 0.0
     # values below ~1e-300 pass through subnormal numbers, which carry
@@ -244,7 +244,8 @@ def test_privacy_structured_vs_dense(rng):
         b = float(rng.uniform(0.1, 5.0))
         fim = StructuredFim(M=m, a=a, b=b)
         w = random_weights(rng, m)
-        dense_val = privacy(fim.dense(), w)
+        dense = fim.dense()
+        dense_val = w.w @ dense @ w.w / (w.norm2_sq * np.trace(dense))
         assert privacy(fim, w) == pytest.approx(dense_val, rel=1e-12)
 
 
@@ -256,8 +257,34 @@ def test_privacy_perfect_for_rank_one_uniform():
 def test_privacy_undefined_on_zero_trace():
     with pytest.raises(NumericalError, match="privacy undefined"):
         privacy(StructuredFim(M=2, a=0.0, b=0.0), mean_weights(2))
-    with pytest.raises(NumericalError, match="privacy undefined"):
-        privacy(np.zeros((2, 2)), mean_weights(2))
+
+
+@given(
+    m=st.one_of(
+        st.integers(min_value=2, max_value=2**53),
+        st.floats(min_value=2.0, max_value=1e150),
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_m_times_its_reciprocal_never_rounds_above_one(m):
+    # one_minus_privacy_from_ab drops the (M n2 - 1) b term of 1 - P at
+    # n2 = 1/M, which is 0 as long as fl(M fl(1/M)) <= 1
+    assert m * (1.0 / m) <= 1.0
+
+
+@pytest.mark.parametrize("m", [2, 3, 49, 10**6, 1e20])
+@given(
+    b=st.floats(min_value=1e-100, max_value=1e100),
+    ratio=st.floats(min_value=1e-30, max_value=1e-3),
+)
+@settings(max_examples=100, deadline=None)
+def test_one_minus_privacy_matches_mpmath_when_b_dominates(m, b, ratio):
+    # at M = 49, fl(M fl(1/M)) is 1 - 2^-53, so n2 does not divide out exactly
+    a = b * ratio
+    with mpmath.workdps(50):
+        exact = (mpmath.mpf(m) - 1) * a / (mpmath.mpf(m) * (mpmath.mpf(a) + b))
+    got = one_minus_privacy_from_ab(a, b, m)
+    assert abs(got - float(exact)) <= 1e-15 * float(exact)
 
 
 def test_privacy_of_precision_optimum_closed_form():

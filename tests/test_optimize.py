@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fsgsense import kernels
 from fsgsense.errors import DomainError, InfeasibleError, NumericalError
-from fsgsense.family import free_parameter_range, squeezed_photons
+from fsgsense.family import free_parameter_range, solve_s, squeezed_photons
 from fsgsense.metrology import chart_fisher_coeffs, one_minus_privacy_from_ab
 from fsgsense.optimize import maximize_precision, maximize_privacy, optimize_batch
 from fsgsense.reference import (
@@ -268,18 +268,16 @@ def test_precision_is_the_t0_state_without_search():
     rows = [(2, 0.0, 1.0), (2, 0.5, 40.0), (3, 1.0, 50.0), (6, 5.0, 31.0), (50, 0.0, 1e3)]
     for (m, n_th, n_tot), result in zip(rows, optimize_batch(rows, "precision")):
         assert result.params.t == 0.0 and result.iterations == 0
-        assert result.params.s == float(
-            kernels.family_states(0.0, m, squeezed_photons(m, n_th, n_tot))
-        )
+        assert result.params.s == float(solve_s(0.0, m, squeezed_photons(m, n_th, n_tot)))
     # xi is flat here: a grid search lands anywhere within ~1e-4 of 0
     assert maximize_precision(4, 0.0, 1e7).params.t == 0.0
 
 
 def _one_minus_privacy_at(m, n_th, n_tot, t):
     """1 - P (mean weights) of the family state at t, from its chart."""
-    s = kernels.family_states(t, m, squeezed_photons(m, n_th, n_tot))
+    s = solve_s(t, m, squeezed_photons(m, n_th, n_tot))
     a, b = chart_fisher_coeffs(m, 1.0 + 2.0 * n_th, s, t)
-    return one_minus_privacy_from_ab(a, b, m, 1.0 / m)
+    return one_minus_privacy_from_ab(a, b, m)
 
 
 @given(
