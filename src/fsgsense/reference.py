@@ -42,15 +42,16 @@ class FsgBlocks:
             raise DomainError(f"M must be >= 2, got {self.M}")
         m, e1, e2, g1, g2 = self.M, self.eps1, self.eps2, self.gam1, self.gam2
         nu_minus, nu_plus = fsg_symplectic_eigenvalues(self)
-        # nu-^2 = f1 f2 and nu+^2 = f3 f4 with f = eps -+ gam (symplectic),
-        # and f rounds at the size of eps, so nu^2 moves by a few times
-        # 2^-53 (eps1 f' + eps2 f); the slack adds 2^-50 times the sum of
-        # both, with f2 + f4 = 2 eps2 + (M-2) gam2 and so on
-        rounding = e1 * (2.0 * e2 + (m - 2) * g2) + e2 * (2.0 * e1 + (m - 2) * g1)
-        if min(nu_minus, nu_plus) < 1.0 - _TOL_NU - 2.0**-50 * rounding:
-            raise DomainError(
-                f"symplectic eigenvalues below vacuum: nu-={nu_minus}, nu+={nu_plus}"
-            )
+        # nu^2 = f1 f2 with f_i = eps_i - k gam_i, k = 1 for nu- and 1 - M for
+        # nu+ (symplectic); f_i rounds at the size of its terms, which moves
+        # nu^2 by a few times 2^-53 [(terms of f1) f2 + (terms of f2) f1]
+        for nu, k in ((nu_minus, 1.0), (nu_plus, 1.0 - m)):
+            f1, f2 = e1 - k * g1, e2 - k * g2
+            rounding = (e1 + abs(k * g1)) * f2 + (e2 + abs(k * g2)) * f1
+            if nu < 1.0 - _TOL_NU - 2.0**-50 * rounding:
+                raise DomainError(
+                    f"symplectic eigenvalues below vacuum: nu-={nu_minus}, nu+={nu_plus}"
+                )
 
 
 def _isothermal_nu(blocks: FsgBlocks, failure: str) -> float:
