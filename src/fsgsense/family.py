@@ -20,6 +20,11 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError
 
+# every factor of the chart closed forms is at most about (2 N_eff + M)^2,
+# so it stays finite while N_eff and M are at most MAX_CHART_N
+# (squeezed_photons)
+MAX_CHART_N = 1e150
+
 
 @dataclass(frozen=True)
 class FsgParams:
@@ -35,8 +40,13 @@ class FsgParams:
             raise DomainError(f"M must be >= 2, got {self.M}")
         if not self.n_th >= 0.0:
             raise DomainError(f"n_th must be >= 0, got {self.n_th}")
-        if not (math.isfinite(self.s) and math.isfinite(self.t)):
-            raise DomainError(f"s and t must be finite, got s={self.s}, t={self.t}")
+        # sinh^2 x > MAX_CHART_N past |x| = 174, and math.sinh stays finite
+        if not (abs(self.s) <= 174.0 and abs(self.t) <= 174.0 and self.M <= MAX_CHART_N):
+            raise DomainError(f"chart out of range: M={self.M}, s={self.s}, t={self.t}")
+        # the chart's own N_eff, with slack for the rounding of s and t
+        n_eff = math.sinh(self.s) ** 2 + (self.M - 1) * math.sinh(self.t) ** 2
+        if not n_eff <= MAX_CHART_N * (1.0 + 1e-12):
+            raise DomainError(f"chart N_eff={n_eff:.3e} above {MAX_CHART_N:.0e}")
 
     @property
     def nu(self) -> float:

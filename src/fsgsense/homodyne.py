@@ -114,9 +114,9 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
 
     xi_hd is a sum of two unit-width sech^2 peaks in z at 2s and 2t
     (chart_homodyne_coeffs), so its maximum lies within arccosh sqrt 2 ~
-    0.88 of one of them, where kernels.z_search finds it.  theta* =
-    arctan e^{z*} is in (0, pi/2); pi - theta* gives the same Gamma and F.
-    A state without homodyne information (s = t = 0) gets None.
+    0.88 of one of them; kernels.z_search, told both centres, finds it.
+    theta* = arctan e^{z*} is in (0, pi/2); pi - theta* gives the same
+    Gamma and F.  A state with xi_hd = 0 at z* (s = t = 0) gets None.
     """
     if not states:
         return []
@@ -124,10 +124,9 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
         np.array([getattr(p, name) for p in states], dtype=float)
         for name in ("M", "s", "t")
     )
-    # the peaks at 2s and 2t sit Z_PAD inside the window, where z_search reads
-    z_star, peak, _ = kernels.z_search(
+    z_star, _ = kernels.z_search(
         lambda z: chart_homodyne_coeffs(m, s, t, z)[2],
-        2.0 * np.minimum(s, t) - kernels.Z_PAD, 2.0 * np.maximum(s, t) + kernels.Z_PAD,
+        2.0 * np.minimum(s, t), 2.0 * np.maximum(s, t),
     )
     a, b, xi_hd = chart_homodyne_coeffs(m, s, t, z_star)
     return [
@@ -136,7 +135,7 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
             fim=StructuredFim(M=p.M, a=float(a[i]), b=float(b[i])),
             xi_hd=float(xi_hd[i]),
         )
-        if peak[i] > 0.0
+        if xi_hd[i] > 0.0
         else None
         for i, p in enumerate(states)
     ]

@@ -68,34 +68,34 @@ def sech(u):
 
 def z_search(f, lo, hi):
     """Each row's maximum of f over z = ln|tan theta|, for a homodyne
-    objective whose maximum lies within Z_PAD of lo + Z_PAD or of
-    hi - Z_PAD: a sum of sech^2 peaks there is below half their heights'
-    sum farther than arccosh sqrt 2 ~ 0.88 from both.  f(z) sees every
-    row: z holds one point per row, or a (points, rows) block.  Row i's
-    grid steps by Z_STEP from lo_i to at least hi_i; only its first and
-    last blocks of 2 Z_PAD / Z_STEP + 1 points are scanned.  The last,
-    scanned where some grid is longer than one block, must beat a row's
-    best strictly, so the first maximum wins; golden_max refines one step
+    objective whose maximum lies within Z_PAD of one of the row's peak
+    centres lo <= hi: a sum of sech^2 peaks there is below half their
+    heights' sum farther than arccosh sqrt 2 ~ 0.88 from both.  f(z) sees
+    every row: z holds one point per row, or a (points, rows) block.  Row
+    i's scan steps by Z_STEP from lo_i - Z_PAD: a block of 2 Z_PAD / Z_STEP
+    + 1 points round lo_i and, where some row has hi > lo, the block
+    ceil((hi_i - lo_i) / Z_STEP) steps along, which must beat a row's best
+    strictly, so the lower peak wins a tie.  golden_max refines one step
     each side of the best point, in lockstep, to width Z_TOL.
 
-    Returns (z, peak, edge): the maxima, f at each row's best scan point,
-    and whether z lies within one Z_STEP of either end of the row's scan.
+    Returns (z, edge): the maxima, and whether z lies within one Z_STEP of
+    either end of the row's scan.
     """
     block = round(2.0 * Z_PAD / Z_STEP) + 1
-    steps = np.ceil((hi - lo) / Z_STEP) + 1
+    first = lo - Z_PAD
+    last = np.ceil((hi - lo) / Z_STEP)  # where each row's upper block starts
     rows = np.arange(lo.size)
-    z0, peak = lo, np.full(lo.size, -np.inf)
-    last = np.maximum(steps - block, 0)  # where each row's last block starts
+    z0, peak = first, np.full(lo.size, -np.inf)
     for start in [0, last] if last.any() else [0]:
-        grid = lo + Z_STEP * (start + np.arange(block)[:, None])
+        grid = first + Z_STEP * (start + np.arange(block)[:, None])
         values = f(grid)
         best = np.argmax(values, axis=0)
         better = values[best, rows] > peak
         z0 = np.where(better, grid[best, rows], z0)
         peak = np.where(better, values[best, rows], peak)
     z = golden_max(f, z0 - Z_STEP, z0 + Z_STEP, Z_TOL)[0]
-    edge = (z - lo < Z_STEP) | (lo + Z_STEP * (steps - 1) - z < Z_STEP)
-    return z, peak, edge
+    edge = (z - first < Z_STEP) | (first + Z_STEP * (last + block - 1) - z < Z_STEP)
+    return z, edge
 
 
 def mle_trials(common, rest, modes, s, t, z_hd):
@@ -108,41 +108,34 @@ def mle_trials(common, rest, modes, s, t, z_hd):
     each trial's second moments of the common mode and (per mode) of the
     others, in units of their variances at z*.  A mode whose variance moves
     by q, q - 1 = -sinh 2x sech(z* - 2x) sinh(z - z*) sech z, adds
-    ln q + rho (1/q - 1) to the negative log-likelihood, rho its moment.
-    ln q is log1p(q - 1), or a difference of ln cosh terms where
-    q - 1 <= -1/2 rounds near -1; nu drops out, and the weights 1/M and
-    1 - 1/M keep the M - 1 rest term from overflowing.  The estimates
-    spread by O(1/sqrt(samples)) in z, so z_search maximizes each trial's
-    likelihood on z* +- Z_PAD, 17 scan points whatever the budget, and
-    phi = arctan(sinh(d/2) / cosh(z* + d/2)), d = z - z*, is exact however
-    close theta_hd is to pi/2.
+    ln q + rho (1/q - 1) to the negative log-likelihood, rho its moment;
+    nu drops out, and the weights 1/M and 1 - 1/M keep the M - 1 rest term
+    from overflowing.  The estimates spread by O(1/sqrt(samples)) in z, so
+    z_search maximizes each trial's likelihood round the one centre z*, 17
+    points whatever the budget, within z* +- (Z_PAD + Z_STEP).  There q >
+    e^-4.5 ~ 0.011, as ln q = ln cosh(z - 2x) - ln cosh z minus its value
+    at z* has |d ln q / dz| < 2: log1p(q - 1) amplifies the rounding of
+    q - 1 by |q - 1| / q < 90.  phi = arctan(sinh(d/2) / cosh(z* + d/2)),
+    d = z - z*, is exact however close theta_hd is to pi/2.
 
     Returns (phi_hat, hit_edge) arrays; hit_edge marks the trials whose
     maximum lies at the edge of the z scan (z_search).
     """
-    def log_cosh2(u):  # ln(2 cosh u), without overflow
-        return np.logaddexp(u, -u)
-
-    # (2x, q - 1 per unit sinh(z - z*) sech z, the z*-terms of ln q, weight)
+    # (q - 1 per unit sinh(z - z*) sech z, weight) of the common and rest modes
     modes_at = [
-        (2.0 * x, -math.sinh(2.0 * x) * float(sech(z_hd - 2.0 * x)),
-         float(log_cosh2(z_hd) - log_cosh2(z_hd - 2.0 * x)), weight)
+        (-math.sinh(2.0 * x) * float(sech(z_hd - 2.0 * x)), weight)
         for x, weight in ((s, 1.0 / modes), (t, 1.0 - 1.0 / modes))
     ]
 
     def log_likelihood(z):
         shift = np.sinh(z - z_hd) * sech(z)
         total = 0.0
-        for (two_x, rate, offset, w), rho in zip(modes_at, (common, rest)):
-            u = rate * shift  # q - 1
-            ln_q = np.log1p(np.maximum(u, -0.5))
-            far = u <= -0.5
-            if far.any():
-                ln_q = np.where(far, log_cosh2(z - two_x) - log_cosh2(z) + offset, ln_q)
+        for (rate, w), rho in zip(modes_at, (common, rest)):
+            ln_q = np.log1p(rate * shift)
             total = total - w * (ln_q + rho * np.expm1(-ln_q))
         return total
 
-    lo = np.full_like(common, z_hd - Z_PAD)
-    z, _, edge = z_search(log_likelihood, lo, lo + 2.0 * Z_PAD)
+    centre = np.full_like(common, z_hd)
+    z, edge = z_search(log_likelihood, centre, centre)
     half = 0.5 * (z - z_hd)
     return np.arctan(np.sinh(half) / np.cosh(z_hd + half)), edge

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericalError
-from .family import FsgParams, free_parameter_range, solve_s, squeezed_photons
+from .family import MAX_CHART_N, FsgParams, free_parameter_range, solve_s, squeezed_photons
 from .metrology import (
     StructuredFim,
     chart_fisher_coeffs,
@@ -33,10 +33,6 @@ from .metrology import (
 
 BRACKET_TOL = 1e-10
 OBJECTIVES = ("precision", "privacy")
-# every factor of the chart closed forms is at most about (2 N_eff + M)^2,
-# so it stays finite while N_eff and M are at most MAX_CHART_N
-# (family.squeezed_photons)
-MAX_CHART_N = 1e150
 
 
 @dataclass(frozen=True)

@@ -94,22 +94,21 @@ def scalar_golden_max(f, lo, hi, tol, max_iter=200):
 
 
 def full_z_scan(f, lo, hi):
-    """Oracle for kernels.z_search: each row's whole grid, lo_i in steps of
-    Z_STEP to at least hi_i, in one call of f; the first maximum, refined
-    by kernels.golden_max on one step each side to Z_TOL.
+    """Oracle for kernels.z_search: each row's whole grid, from lo_i - Z_PAD
+    in steps of Z_STEP to at least hi_i + Z_PAD, in one call of f; the first
+    maximum, refined by kernels.golden_max on one step each side to Z_TOL.
 
-    Returns (z, peak, edge) like kernels.z_search.
+    Returns (z, edge) like kernels.z_search.
     """
-    step = kernels.Z_STEP
-    steps = np.ceil((hi - lo) / step) + 1
+    step, first = kernels.Z_STEP, lo - kernels.Z_PAD
+    steps = np.ceil((hi - lo) / step) + round(2 * kernels.Z_PAD / step) + 1
     index = np.arange(np.max(steps))[:, None]
-    values = f(lo + step * index)
+    values = f(first + step * index)
     values[index >= steps] = -np.inf  # past the row's own grid
-    best = np.argmax(values, axis=0)
-    z0 = lo + step * best
+    z0 = first + step * np.argmax(values, axis=0)
     z = kernels.golden_max(f, z0 - step, z0 + step, kernels.Z_TOL)[0]
-    edge = (z - lo < step) | (lo + step * (steps - 1) - z < step)
-    return z, values[best, np.arange(lo.size)], edge
+    edge = (z - first < step) | (first + step * (steps - 1) - z < step)
+    return z, edge
 
 
 def same_fields(x, y) -> bool:

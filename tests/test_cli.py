@@ -114,6 +114,26 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def test_only_kernels_reads_the_z_scan_window():
+    # z_search is told each row's peak centres; the scan's pad and step
+    # stay in kernels (homodyne reads Z_TOL for the mc resolution guard)
+    package = Path(fsgsense.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if path.stem != "kernels" and {"Z_PAD", "Z_STEP"} & set(names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 PRODUCT_MODULES = {
     "cli", "errors", "family", "homodyne", "kernels", "metrology", "optimize",
 }

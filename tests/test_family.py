@@ -157,10 +157,15 @@ _STATE = FsgParams(M=3, n_th=0.0, s=1.0, t=-0.3)
         ),
         lambda: FsgParams(3, 0.0, 1.0, float("inf")),
         lambda: FsgParams(3, 0.0, float("-inf"), 0.0),
+        lambda: optimize_homodyne_angle(FsgParams(3, 0.0, 200.0, -200.0)),
+        lambda: FsgParams(3, 0.0, 0.0, -400.0),
+        lambda: FsgParams(10**151, 0.0, 0.0, 0.0),
+        lambda: FsgParams(3, 0.0, 173.5, 0.0),
     ],
     ids=["negative_n_th", "M_1", "nan_N_tot", "nan_n_th", "nan_z_hd", "nan_angle",
          "inf_angle", "minus_inf_angle", "nan_chart_n_th", "nan_s_angle_search",
-         "nan_s_mc", "inf_t", "minus_inf_s"],
+         "nan_s_mc", "inf_t", "minus_inf_s", "huge_chart_angle_search", "huge_t",
+         "huge_M", "chart_N_eff_past_the_bound"],
 )
 def test_invalid_input_raises_domain_error_before_any_arithmetic(call):
     # numpy warnings are errors in this suite, so a warning from arithmetic

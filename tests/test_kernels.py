@@ -113,17 +113,16 @@ def test_z_search_matches_the_full_scan_bitwise():
     )
     chart = np.array([(p.params.M, p.params.s, p.params.t) for p in optima]).T
     m, s, t = np.concatenate([chart, random, [[4.0], [0.0], [0.0]]], axis=1)
-    lo, hi = 2.0 * np.minimum(s, t) - kernels.Z_PAD, 2.0 * np.maximum(s, t) + kernels.Z_PAD
-    z, peak, _ = kernels.z_search(_xi_hd(m, s, t), lo, hi)
-    z_ref, peak_ref, _ = full_z_scan(_xi_hd(m, s, t), lo, hi)
-    assert np.array_equal(z, z_ref) and np.array_equal(peak, peak_ref)
-    assert np.count_nonzero(peak == 0.0) >= 3
-    # mle_trials-shaped windows, z* +- Z_PAD, some maxima beyond an end
-    centre = rng.uniform(-2.5, 2.5, 200)
-    lo = rng.uniform(-50.0, 50.0, 200)
-    objective = lambda z: kernels.sech(z - lo - kernels.Z_PAD - centre) ** 2
-    edge = kernels.z_search(objective, lo, lo + 2.0 * kernels.Z_PAD)[2]
-    assert np.array_equal(edge, full_z_scan(objective, lo, lo + 2.0 * kernels.Z_PAD)[2])
+    lo, hi = 2.0 * np.minimum(s, t), 2.0 * np.maximum(s, t)
+    z, _ = kernels.z_search(_xi_hd(m, s, t), lo, hi)
+    assert np.array_equal(z, full_z_scan(_xi_hd(m, s, t), lo, hi)[0])
+    assert np.count_nonzero(_xi_hd(m, s, t)(z) == 0.0) >= 3
+    # mle_trials-shaped scans round one centre z*, some maxima beyond an end
+    offset = rng.uniform(-2.5, 2.5, 200)
+    centre = rng.uniform(-50.0, 50.0, 200)
+    objective = lambda z: kernels.sech(z - centre - offset) ** 2
+    edge = kernels.z_search(objective, centre, centre)[1]
+    assert np.array_equal(edge, full_z_scan(objective, centre, centre)[1])
     assert 0 < np.count_nonzero(edge) < edge.size
 
 
@@ -182,6 +181,70 @@ def test_mle_trials_matches_dense_likelihood():
                 options={"xatol": 1e-11},
             )
             assert phi_hat[k] == pytest.approx(ref.x, abs=1e-6)
+
+
+def _spy_on_z_search(monkeypatch):
+    """Patch kernels.z_search to record each objective it is given and the
+    shape of each 2-D block of z it evaluates; returns both lists."""
+    search, objectives, blocks = kernels.z_search, [], []
+
+    def spy(f, lo, hi):
+        objectives.append(f)
+
+        def counted(z):
+            if np.ndim(z) == 2:
+                blocks.append(np.shape(z))
+            return f(z)
+
+        return search(counted, lo, hi)
+
+    monkeypatch.setattr(kernels, "z_search", spy)
+    return objectives, blocks
+
+
+def test_mle_trials_scans_one_block_per_trial(monkeypatch):
+    # at this z*, (z* - 2) + 4 lands in the next binade and rounds up: a
+    # window measured from its ends would span 18 steps and two blocks
+    _, blocks = _spy_on_z_search(monkeypatch)
+    z_hd = 6.500000000000003
+    phi_hat, edge = kernels.mle_trials(np.ones(4), np.ones(4), 3, 3.25, -0.3, z_hd)
+    assert blocks == [(17, 4)]
+    assert not edge.any() and np.all(np.abs(phi_hat) < 1e-9)
+
+
+@pytest.mark.parametrize("m", [2, 3, 1000, 10**20])
+def test_mle_trials_likelihood_matches_50_digits(monkeypatch, m):
+    # the likelihood as mle_trials hands it to z_search, on the whole reach
+    # of the search, z* +- (Z_PAD + Z_STEP), where q falls to e^-4.5: charts
+    # up to N_eff = 1e150 (|2x| near 347), z* on each peak and between them.
+    # log1p amplifies the rounding of z* - 2x (half an ulp, below 2.9e-14
+    # while |z* - 2x| < 512) by |q - 1| / q < 90 on the far side
+    mpmath = pytest.importorskip("mpmath")
+    mpf = mpmath.mpf
+    objectives, _ = _spy_on_z_search(monkeypatch)
+    common, rest = np.array([0.5, 1.0, 1.7]), np.array([0.8, 1.0, 1.3])
+    reach = kernels.Z_PAD + kernels.Z_STEP
+    optima = optimize_batch([(m, 0.0, n) for n in (1.0, 1e3, 1e40, 1e150)], "privacy")
+    for s, t in [(p.params.s, p.params.t) for p in optima]:
+        for z_hd in (2.0 * s, 2.0 * t, s + t):
+            kernels.mle_trials(common, rest, m, s, t, z_hd)
+            zs = z_hd + np.linspace(-reach, reach, 37)
+            values = objectives.pop()(zs[:, None])
+
+            def ln_q(z, x):  # ln of lambda_x(z) / lambda_x(z*)
+                lam = lambda u: mpmath.cosh(u - 2 * mpf(x)) / mpmath.cosh(u)
+                return mpmath.log(lam(mpf(z)) / lam(mpf(z_hd)))
+
+            for z, row in zip(zs, values):
+                with mpmath.workdps(50):
+                    weights = (1 / mpf(m), 1 - 1 / mpf(m))
+                    logs = (ln_q(z, s), ln_q(z, t))
+                    refs = [float(-sum(
+                        w * (lq + rho * mpmath.expm1(-lq))
+                        for w, lq, rho in zip(weights, logs, moments)
+                    )) for moments in zip(common, rest)]
+                for value, ref in zip(row, refs):
+                    assert abs(value - ref) <= 3e-12 * max(1.0, abs(ref))
 
 
 def test_qfim_consistency_between_kernel_scan_and_closed_form():
