@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from .errors import FsgSenseError, InfeasibleError, NumericalError
-from .family import chart_blocks, check_budget
+from .family import budget, chart_blocks
 from .homodyne import (
     HomodyneOpt,
     McConfig,
@@ -80,10 +80,11 @@ def _record(
     objective: str,
     result: OptResult,
     hd: HomodyneOpt | None,
+    entries: np.ndarray,
 ) -> SweepRecord:
-    """Flatten a feasible row's optimum and homodyne optimum (None: empty cells)."""
+    """Flatten a feasible row's optimum, homodyne optimum (None: empty cells) and entries."""
     params, fim = result.params, result.fim
-    eps1, eps2, gam1, gam2 = chart_blocks(params.M, params.nu, params.s, params.t)
+    eps1, eps2, gam1, gam2 = entries
     return SweepRecord(
         M=M,
         n_th=n_th,
@@ -110,7 +111,7 @@ def _record(
 
 def _feasible(M: int, n_th: float, N_tot: float) -> bool:
     try:
-        check_budget(M, n_th, N_tot)
+        budget(M, n_th, N_tot)
     except InfeasibleError:
         return False
     return True
@@ -119,19 +120,28 @@ def _feasible(M: int, n_th: float, N_tot: float) -> bool:
 def _compute_records(points, objective: str, homodyne: bool) -> list[SweepRecord]:
     """Records of (M, n_th, N_tot) points under one objective, in order.
 
-    The feasible points are optimized as one batch; with homodyne, so are
-    the angles of the optima.  Optima without homodyne information keep
-    empty homodyne cells.
+    The feasible points are optimized as one batch; so are the optima's
+    angles with homodyne (else empty cells) and their covariance entries,
+    which raise NumericalError if one overflows.
     """
     feasible = [_feasible(*point) for point in points]
     rows = [point for point, ok in zip(points, feasible) if ok]
     optima = optimize_batch(rows, objective)
-    angles = [None] * len(rows)
-    if homodyne:
-        angles = optimize_homodyne_angles([r.params for r in optima])
+    params = [r.params for r in optima]
+    angles = optimize_homodyne_angles(params) if homodyne else [None] * len(rows)
+    # M apart (int64, or object above 2**63), so that M - 1 is exact, as in
+    # one row's chart; nu, s and t as floats
+    m = np.array([p.M for p in params])
+    nu, s, t = np.array([(p.nu, p.s, p.t) for p in params]).reshape(-1, 3).T
+    with np.errstate(over="ignore"):
+        entries = np.array(chart_blocks(m, nu, s, t), dtype=float).T
+    bad = ~np.isfinite(entries).all(axis=1)
+    if bad.any():
+        M, nth, N = rows[np.argmax(bad)]
+        raise NumericalError(f"covariance entries of M={M}, N_tot={N}, n_th={nth} overflow")
     records = (
-        _record(*row, objective, result, hd)
-        for row, result, hd in zip(rows, optima, angles)
+        _record(*row, objective, result, hd, row_entries)
+        for row, result, hd, row_entries in zip(rows, optima, angles, entries)
     )
     return [
         next(records) if ok else SweepRecord(*point, objective)
@@ -274,7 +284,7 @@ def state(modes, nth, n_tot, objective):
     if not _counts(modes) or not _finite_nonnegative(nth, n_tot):
         raise click.UsageError("need 2 <= --M <= 1.8e308, finite --nth >= 0 and --N >= 0")
     with _exit_codes():
-        check_budget(modes, nth, n_tot)
+        budget(modes, nth, n_tot)
         record = compute_record(modes, nth, n_tot, objective, homodyne=True)
         _echo_json(dataclasses.asdict(record))
 

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, NumericalError
 
 # every factor of the chart closed forms is at most about (2 N_eff + M)^2,
-# so it stays finite while N_eff and M are at most MAX_CHART_N
-# (squeezed_photons)
+# so it stays finite while N_eff and M are at most MAX_CHART_N (budget)
 MAX_CHART_N = 1e150
 
 
@@ -70,12 +69,21 @@ def chart_blocks(m, nu, s, t):
     )
 
 
-def check_budget(M: int, n_th: float, N_tot: float) -> None:
-    """Raise DomainError for M < 2 or a negative or NaN n_th or budget,
-    InfeasibleError for a budget below the thermal floor M * n_th.
+def budget(M: int, n_th: float, N_tot: float) -> tuple[float, float, float]:
+    """Photon budget (nu, N_eff, t_max) of the row (M, n_th, N_tot).
 
-    The rule is strict and exact in floating point, N_tot < M * n_th, so
-    that every command and the CSV's feasible column agree on it.
+    nu = 1 + 2 n_th.  In normal modes the photon constraint
+    nu [cosh(2s) + (M-1) cosh(2t)] = 2 N_tot + M reads sinh^2 s
+    + (M-1) sinh^2 t = N_eff = (N_tot - M n_th) / nu, which does not cancel
+    near the floor, and has a solution s >= 0 (solve_s) exactly for |t| <=
+    t_max, (M-1) sinh^2 t_max = N_eff.
+
+    Raises DomainError for M < 2 or a negative or NaN n_th or N_tot,
+    InfeasibleError below the thermal floor, and NumericalError for M or
+    N_eff above MAX_CHART_N, where the Fisher information overflows (M is
+    compared exactly, as FsgParams does).  The floor rule is strict and
+    exact in floating point, N_tot < M n_th, so that every command and the
+    CSV's feasible column agree on it.
     """
     if M < 2:
         raise DomainError(f"M must be >= 2, got {M}")
@@ -88,32 +96,19 @@ def check_budget(M: int, n_th: float, N_tot: float) -> None:
         raise InfeasibleError(
             f"photon budget N_tot={N_tot} below thermal floor M*n_th={floor}"
         )
-
-
-def squeezed_photons(M, n_th, N_tot):
-    """N_eff = (N_tot - M n_th) / nu, clamped at 0; array-aware.
-
-    In normal modes the photon constraint nu [cosh(2s) + (M-1) cosh(2t)]
-    = 2 N_tot + M reads sinh^2 s + (M-1) sinh^2 t = N_eff, which does not
-    cancel near the floor.
-    """
-    return np.maximum(N_tot - M * n_th, 0.0) / (1.0 + 2.0 * n_th)
-
-
-def free_parameter_range(M: int, n_th: float, N_tot: float) -> float:
-    """Largest |t| compatible with the photon budget.
-
-    (M-1) sinh^2(t_max) = N_eff (see squeezed_photons); the photon
-    constraint has a solution s >= 0 (solve_s) exactly for t in
-    [-t_max, t_max].
-    """
-    check_budget(M, n_th, N_tot)
-    return float(np.arcsinh(np.sqrt(squeezed_photons(M, n_th, N_tot) / (M - 1))))
+    nu = 1.0 + 2.0 * n_th
+    n_eff = (N_tot - floor) / nu
+    if not (M <= MAX_CHART_N and n_eff <= MAX_CHART_N):
+        raise NumericalError(
+            f"M={M:.3g} or photon budget N_tot={N_tot!r} at n_th={n_th!r} is too large: "
+            "the Fisher information overflows"
+        )
+    return nu, n_eff, float(np.arcsinh(np.sqrt(n_eff / (M - 1))))
 
 
 def solve_s(t, M, n_eff):
     """Squeezing s >= 0 of the family states at free parameter t, from the
-    photon constraint sinh^2 s + (M-1) sinh^2 t = n_eff (squeezed_photons);
+    photon constraint sinh^2 s + (M-1) sinh^2 t = n_eff (budget);
     (M, nu, s, t) is the state's chart.  Array-aware."""
     m = np.asarray(M, dtype=float)
     # endpoint rounding; inside [-t_max, t_max] the square is >= 0

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericalError
-from .family import MAX_CHART_N, FsgParams, free_parameter_range, solve_s, squeezed_photons
+from .family import FsgParams, budget, solve_s
 from .metrology import (
     StructuredFim,
     chart_fisher_coeffs,
@@ -82,25 +82,17 @@ def optimize_batch(
       result against a dense full-interval grid.
 
     Raises InfeasibleError if a row's budget is below its thermal floor,
-    and NumericalError if its Fisher information would overflow (N_eff or
-    M above MAX_CHART_N), or underflow: a or b nonzero but subnormal, where
-    the closed forms lose their relative accuracy, or both 0 at N_eff > 0.
+    and NumericalError if its Fisher information would overflow (see
+    family.budget), or underflow: a or b nonzero but subnormal, where the
+    closed forms lose their relative accuracy, b = 0 at s != t, or both 0
+    at N_eff > 0.
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}")
     if not rows:
         return []
-    t_max = np.array([free_parameter_range(*row) for row in rows])
-    m, n_th, n_tot = (np.array(col, dtype=float) for col in zip(*rows))
-    nu = 1.0 + 2.0 * n_th
-    n_eff = squeezed_photons(m, n_th, n_tot)
-    huge = np.flatnonzero(~(np.maximum(n_eff, m) <= MAX_CHART_N))
-    if huge.size:
-        M, nth, N = rows[huge[0]]
-        raise NumericalError(
-            f"M={M:.3g} or photon budget N_tot={N!r} at n_th={nth!r} is too large: "
-            "the Fisher information overflows"
-        )
+    nu, n_eff, t_max = (np.array(col) for col in zip(*(budget(*row) for row in rows)))
+    m = np.array([row[0] for row in rows], dtype=float)
 
     t_star = np.zeros(len(rows))
     iterations = np.zeros(len(rows), dtype=int)
@@ -111,7 +103,9 @@ def optimize_batch(
         )
     s_star, a, b, xi, omp = _chart_values(m, nu, n_eff, t_star)
     tiny = np.finfo(float).tiny
-    lost = (a > 0.0) & (a < tiny) | (b > 0.0) & (b < tiny) | (n_eff > 0.0) & (a + b == 0.0)
+    # b = 4k sinh^2(s - t) cosh(2s + 2t) / M^2 is exactly 0 only at s = t
+    lost = (a > 0.0) & (a < tiny) | (b < tiny) & (s_star != t_star)
+    lost |= (n_eff > 0.0) & (a + b == 0.0)
     if lost.any():
         M, nth, N = rows[np.argmax(lost)]
         raise NumericalError(

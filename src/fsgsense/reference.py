@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .family import FsgParams, chart_blocks, free_parameter_range, squeezed_photons
+from .family import FsgParams, budget, chart_blocks
 from .metrology import StructuredFim, privacy_from_ab, xi_from_ab
 from .optimize import _chart_values
 from .symplectic import CovarianceState, fsg_symplectic_eigenvalues, symplectic_form
@@ -384,11 +384,9 @@ def scan_free_parameter(
     """Raw (t, xi, privacy) curve on a uniform grid over [-t_max, t_max]."""
     if grid_points < 3:
         raise DomainError(f"grid_points must be >= 3, got {grid_points}")
-    t_max = free_parameter_range(M, n_th, N_tot)
+    nu, n_eff, t_max = budget(M, n_th, N_tot)
     ts = np.linspace(-t_max, t_max, grid_points)
-    _, a, b, xi_arr, _ = _chart_values(
-        M, 1.0 + 2.0 * n_th, squeezed_photons(M, n_th, N_tot), ts
-    )
+    _, a, b, xi_arr, _ = _chart_values(M, nu, n_eff, ts)
     p_arr = privacy_from_ab(a, b, M, 1.0 / M)
     return [
         ScanPoint(t=float(t), xi=float(x), privacy=float(p))

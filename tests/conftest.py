@@ -8,6 +8,7 @@ shows the verdict for every criterion in one place.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -65,6 +66,31 @@ def dense_sufficient_stats(blocks, theta_hd, n_samples, trials, seed):
         tr_s[k] = np.sum(x * x) / n_samples
         sum_s[k] = np.sum(x.sum(axis=1) ** 2) / n_samples
     return tr_s, sum_s
+
+
+def exact_chart_values(m, nu, s, t):
+    """Oracle (a, b, xi, 1 - P) of the chart state (M, nu, s, t) with mean
+    weights, in mpmath: from the covariance entries (family.chart_blocks)
+    through qfim_fsg's block formula, F11 = [(eps1^2 + eps2^2)/2 - nu^2]
+    2/(1 + nu^2) and b = F12 = (gam1^2 + gam2^2)/(1 + nu^2), a = F11 - F12.
+
+    The block formula cancels near vacuum, where a and b are of order
+    N_eff/M against entries of order nu, and 1 - P cancels where a << b,
+    so the working precision grows with the budget's scale:
+    50 + 2 (|log10 N_eff| + log10 M) digits.  Needs N_eff > 0.
+    """
+    with mpmath.workdps(20):
+        n_eff = mpmath.sinh(s) ** 2 + (m - 1) * mpmath.sinh(t) ** 2
+        digits = 50 + 2 * (abs(mpmath.log10(n_eff)) + mpmath.log10(m))
+    with mpmath.workdps(int(digits)):
+        m, nu, s, t = (mpmath.mpf(v) for v in (m, nu, s, t))
+        x, y = mpmath.exp(2 * s), mpmath.exp(2 * t)
+        eps1, gam1 = nu * (x + (m - 1) * y) / m, nu * (x - y) / m
+        eps2, gam2 = nu * (1 / x + (m - 1) / y) / m, nu * (1 / x - 1 / y) / m
+        scale = 2 / (1 + nu**2)
+        b = (gam1**2 + gam2**2) / 2 * scale
+        a = ((eps1**2 + eps2**2) / 2 - nu**2) * scale - b
+        return a, b, m * (a + m * b), 1 - (a / m + b) / (a + b)
 
 
 def scalar_golden_max(f, lo, hi, tol, max_iter=200):

@@ -114,24 +114,35 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
-def test_only_kernels_reads_the_z_scan_window():
-    # z_search is told each row's peak centres; the scan's pad and step
-    # stay in kernels (homodyne reads Z_TOL for the mc resolution guard)
+def _readers(names, owner):
+    """Lines of src/ modules other than owner that read any of names."""
     package = Path(fsgsense.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute):
-                names = [node.attr]
+                read = [node.attr]
             elif isinstance(node, ast.Name):
-                names = [node.id]
+                read = [node.id]
             elif isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
+                read = [alias.name for alias in node.names]
             else:
                 continue
-            if path.stem != "kernels" and {"Z_PAD", "Z_STEP"} & set(names):
+            if path.stem != owner and names & set(read):
                 found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    return found
+
+
+def test_only_kernels_reads_the_z_scan_window():
+    # z_search is told each row's peak centres; the scan's pad and step
+    # stay in kernels (homodyne reads Z_TOL for the mc resolution guard)
+    assert _readers({"Z_PAD", "Z_STEP"}, "kernels") == []
+
+
+def test_only_family_reads_the_chart_limit():
+    # family.budget is the one overflow check of a row and FsgParams the one
+    # of a chart; every other module goes through them
+    assert _readers({"MAX_CHART_N"}, "family") == []
 
 
 PRODUCT_MODULES = {
@@ -338,6 +349,49 @@ def test_every_command_applies_one_thermal_floor(runner, tmp_path, nth, n_tot):
     assert [(float(row["N_tot"]), row["feasible"], row["xi"]) for row in rows] == [
         (n, "false", "")
     ] * 2
+
+
+@pytest.mark.parametrize(
+    "modes, nth, n_tot, mc_exit",
+    [
+        # M above MAX_CHART_N by less than a float's rounding: 10**150 > 1e150
+        (10**150, 0.0, 1e3, 3),
+        # N_eff above MAX_CHART_N
+        (1000, 0.0, 1e200, 3),
+        # a representable budget whose covariance entries overflow; mc
+        # reports no entries and runs
+        (2, 1e200, 1.7e308, 0),
+    ],
+    ids=["M-10**150", "N-1e200", "entries-overflow"],
+)
+def test_every_command_agrees_on_the_representable_range(
+    tmp_path, modes, nth, n_tot, mc_exit
+):
+    # subprocesses, so that a numpy RuntimeWarning would show on stderr
+    point = ["--M", str(modes), "--nth", repr(nth), "--N", repr(n_tot)]
+    config, cfg = _sweep_config(
+        tmp_path,
+        M_list=[modes],
+        n_th_list=[nth],
+        N_grid={"min": n_tot, "max": n_tot, "points": 1, "spacing": "linear"},
+        homodyne=True,
+    )
+    runs = [
+        ("state", 3, ["state", *point]),
+        ("sweep", 3, ["sweep", "--config", str(config)]),
+        ("mc", mc_exit, ["mc", *point, "--samples", "100", "--trials", "10"]),
+    ]
+    for name, code, argv in runs:
+        out = _python("-m", "fsgsense.cli", *argv)
+        assert out.returncode == code, (name, out.stderr)
+        if code == 3:
+            lines = out.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("numerical failure: "), name
+            if mc_exit == 3:
+                assert lines[0].endswith("is too large: the Fisher information overflows")
+        else:
+            assert out.stderr == ""
+    assert not os.path.exists(cfg["output"])
 
 
 # ------------------------------------------------------------------- state

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsgsense.errors import DomainError, InfeasibleError
-from fsgsense.family import (
-    FsgParams,
-    check_budget,
-    free_parameter_range,
-    solve_s,
-    squeezed_photons,
-)
+from fsgsense.family import FsgParams, budget, solve_s
 from fsgsense.homodyne import (
     McConfig,
     homodyne_fim,
@@ -105,35 +99,34 @@ def test_family_states_solve_the_photon_constraint(rng):
         m = int(rng.integers(2, 7))
         n_th = float(rng.uniform(0.0, 3.0))
         n_tot = float(rng.uniform(m * n_th + 0.1, m * n_th + 50.0))
-        t_max = free_parameter_range(m, n_th, n_tot)
+        t_max = budget(m, n_th, n_tot)[2]
         t = float(rng.uniform(-t_max, t_max))
-        s = float(solve_s(t, m, squeezed_photons(m, n_th, n_tot)))
+        s = float(solve_s(t, m, budget(m, n_th, n_tot)[1]))
         assert s >= 0.0
         blocks = blocks_from_params(FsgParams(M=m, n_th=n_th, s=s, t=t))
         assert total_photons(blocks) == pytest.approx(n_tot, rel=1e-9, abs=1e-9)
 
 
-def test_free_parameter_range_bounds_the_photon_constraint():
+def test_budget_t_max_bounds_the_photon_constraint():
     # beyond t_max the t modes alone hold more squeezed photons than N_eff
-    t_max = free_parameter_range(3, 0.0, 5.0)
-    n_eff = squeezed_photons(3, 0.0, 5.0)
+    _, n_eff, t_max = budget(3, 0.0, 5.0)
     assert 2 * np.sinh(t_max) ** 2 == pytest.approx(n_eff, rel=1e-12)
     assert 2 * np.sinh(1.5 * t_max + 0.1) ** 2 > n_eff
 
 
 def test_family_states_endpoint_gives_zero_s():
-    t_max = free_parameter_range(4, 1.0, 30.0)
-    s = solve_s(t_max, 4, squeezed_photons(4, 1.0, 30.0))
+    _, n_eff, t_max = budget(4, 1.0, 30.0)
+    s = solve_s(t_max, 4, n_eff)
     assert s == pytest.approx(0.0, abs=1e-6)
 
 
 def test_thermal_floor_raises():
     with pytest.raises(InfeasibleError):
-        free_parameter_range(4, 5.0, 10.0)
+        budget(4, 5.0, 10.0)
     # the rule is exact: 3 * 0.1 rounds to 0.30000000000000004 > 0.3
     with pytest.raises(InfeasibleError):
-        check_budget(3, 0.1, 0.3)
-    check_budget(2, 5.0, 10.0)
+        budget(3, 0.1, 0.3)
+    budget(2, 5.0, 10.0)
 
 
 _STATE = FsgParams(M=3, n_th=0.0, s=1.0, t=-0.3)
@@ -174,8 +167,8 @@ def test_invalid_input_raises_domain_error_before_any_arithmetic(call):
         call()
 
 
-def test_free_parameter_range_zero_at_the_floor():
-    assert free_parameter_range(4, 5.0, 20.0) == pytest.approx(0.0, abs=1e-7)
+def test_budget_t_max_zero_at_the_floor():
+    assert budget(4, 5.0, 20.0)[2] == pytest.approx(0.0, abs=1e-7)
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fsgsense import homodyne
 from fsgsense.errors import DomainError, NumericalError
-from fsgsense.family import FsgParams, squeezed_photons
+from fsgsense.family import FsgParams, budget
 from fsgsense import kernels
 from fsgsense.homodyne import (
     McConfig,
@@ -211,7 +211,7 @@ def test_homodyne_leakage_at_the_precision_optimum():
     ]
     hd, qfim = _leakage(rows, "precision")
     m = np.array([row[0] for row in rows], dtype=float)
-    n_eff = np.array([squeezed_photons(*row) for row in rows])
+    n_eff = np.array([budget(*row)[1] for row in rows])
     assert hd == pytest.approx((m - 1.0) / (m + 1.0 + 4.0 * n_eff), rel=1e-7)
     assert qfim == pytest.approx((m - 1.0) / (m + 1.0 + 2.0 * n_eff), rel=1e-12)
 

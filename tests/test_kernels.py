@@ -5,7 +5,7 @@ from scipy.optimize import minimize_scalar
 
 from fsgsense import kernels
 from fsgsense.errors import NumericalError
-from fsgsense.family import FsgParams, free_parameter_range, solve_s, squeezed_photons
+from fsgsense.family import FsgParams, budget, solve_s
 from fsgsense.homodyne import (
     chart_homodyne_coeffs,
     optimize_homodyne_angle,
@@ -20,10 +20,8 @@ from fsgsense.reference import blocks_from_params, homodyne_cov, qfim_fsg
     "m, n_th, n_tot", [(4, 1.0, 30.0), (2, 0.0, 1.0), (2, 0.5, 40.0), (6, 2.0, 300.0)]
 )
 def test_family_scan_matches_scalar_path(m, n_th, n_tot):
-    nu = 1.0 + 2.0 * n_th
-    t_max = free_parameter_range(m, n_th, n_tot)
+    nu, n_eff, t_max = budget(m, n_th, n_tot)
     ts = np.linspace(-t_max, t_max, 41)
-    n_eff = squeezed_photons(m, n_th, n_tot)
     s_arr = solve_s(ts, m, n_eff)
     for i, t in enumerate(ts):
         assert s_arr[i] == pytest.approx(solve_s(float(t), m, n_eff), abs=1e-12)
@@ -253,7 +251,7 @@ def test_qfim_consistency_between_kernel_scan_and_closed_form():
     m, n_th, n_tot = 5, 1.0, 60.0
     nu = 1.0 + 2.0 * n_th
     ts = np.linspace(-0.5, 0.5, 21)
-    s_arr = solve_s(ts, m, squeezed_photons(m, n_th, n_tot))
+    s_arr = solve_s(ts, m, budget(m, n_th, n_tot)[1])
     a, b = chart_fisher_coeffs(m, nu, s_arr, ts)
     for i, t in enumerate(ts):
         params = FsgParams(M=m, n_th=n_th, s=float(s_arr[i]), t=float(t))

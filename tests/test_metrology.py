@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fsgsense.errors import DomainError, NumericalError
-from fsgsense.family import FsgParams, free_parameter_range, solve_s, squeezed_photons
+from fsgsense.family import FsgParams, budget, solve_s
 from fsgsense.metrology import (
     StructuredFim,
     chart_fisher_coeffs,
@@ -104,9 +104,9 @@ def test_chart_closed_form_matches_numeric_oracle_on_the_figure_grid(m):
         for n_tot in np.geomspace(1.0, 1000.0, 25):
             if n_tot < m * n_th:
                 continue
-            t_max = free_parameter_range(m, n_th, n_tot)
+            t_max = budget(m, n_th, n_tot)[2]
             for t in (-0.5 * t_max, 0.0, t_max / 3.0):
-                s = solve_s(t, m, squeezed_photons(m, n_th, n_tot))
+                s = solve_s(t, m, budget(m, n_th, n_tot)[1])
                 a, b = chart_fisher_coeffs(m, nu, s, t)
                 state = assemble_covariance(blocks_from_params(FsgParams(m, n_th, s, t)))
                 # mixed states need a finer cutoff: their kernel is full rank
@@ -126,10 +126,10 @@ def test_chart_closed_form_matches_numeric_oracle_on_the_figure_grid(m):
 def test_chart_closed_form_is_finite_bounded_and_factorizes(m, n_th, n_tot, u):
     assume(n_tot >= m * n_th)
     nu = 1.0 + 2.0 * n_th
-    t = u * free_parameter_range(m, n_th, n_tot)
+    t = u * budget(m, n_th, n_tot)[2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = solve_s(t, m, squeezed_photons(m, n_th, n_tot))
+        s = solve_s(t, m, budget(m, n_th, n_tot)[1])
         a, b = chart_fisher_coeffs(m, nu, s, t)
         xi = xi_from_ab(a, b, m)
         omp = one_minus_privacy_from_ab(a, b, m)

@@ -3,15 +3,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import same_fields
+from conftest import exact_chart_values, same_fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsgsense import kernels
 from fsgsense.errors import DomainError, InfeasibleError, NumericalError
-from fsgsense.family import free_parameter_range, solve_s, squeezed_photons
+from fsgsense.family import budget, solve_s
 from fsgsense.metrology import chart_fisher_coeffs, one_minus_privacy_from_ab
-from fsgsense.optimize import maximize_precision, maximize_privacy, optimize_batch
+from fsgsense.optimize import (
+    OBJECTIVES,
+    _chart_values,
+    maximize_precision,
+    maximize_privacy,
+    optimize_batch,
+)
 from fsgsense.reference import (
     blocks_from_params,
     closed_form_privacy_of_optimum,
@@ -168,35 +174,74 @@ def test_large_budgets_optimize_without_domain_errors(objective, m, n_th, n_tot)
         assert result.one_minus_privacy < 1e-12
 
 
-def _exact_one_minus_privacy(m, s, t):
-    """1 - P of the pure chart state (M, 1, s, t), at 50 digits, through the
-    covariance blocks and qfim_fsg's block formula (mean weights)."""
-    with mpmath.workdps(50):
-        m, s, t = mpmath.mpf(m), mpmath.mpf(s), mpmath.mpf(t)
-        x, y = mpmath.exp(2 * s), mpmath.exp(2 * t)
-        eps1, gam1 = (x + (m - 1) * y) / m, (x - y) / m
-        eps2, gam2 = (1 / x + (m - 1) / y) / m, (1 / x - 1 / y) / m
-        f12 = (gam1**2 + gam2**2) / 2
-        a = (eps1**2 + eps2**2) / 2 - 1 - f12
-        return 1 - (a / m + f12) / (a + f12)
-
-
 @pytest.mark.parametrize("m, n_tot", [(3, 1e3), (4, 1e4), (6, 5e4)])
 def test_one_minus_privacy_matches_fifty_digits(m, n_tot):
     # 1.0 - privacy lost up to 3.3e-10 relative here; the closed form keeps
     # 1 - P to a few ulp, at the optimum and against the true minimum
     result = maximize_privacy(m, 0.0, n_tot)
-    exact = _exact_one_minus_privacy(m, result.params.s, result.params.t)
+    exact = exact_chart_values(m, 1.0, result.params.s, result.params.t)[3]
     assert float(abs(result.one_minus_privacy - exact) / exact) <= 1e-14
     with mpmath.workdps(50):
 
         def one_minus_p(t):
             s = mpmath.asinh(mpmath.sqrt(n_tot - (m - 1) * mpmath.sinh(t) ** 2))
-            return _exact_one_minus_privacy(m, s, t)
+            return exact_chart_values(m, 1.0, s, t)[3]
 
         t_min = mpmath.findroot(lambda t: mpmath.diff(one_minus_p, t), result.params.t)
         best = one_minus_p(t_min)
     assert float(abs(result.one_minus_privacy - best) / best) <= 1e-14
+
+
+def _assert_matches_oracle(m, nu, s, t, values):
+    """values (a, b, xi, 1 - P) of the chart (M, nu, s, t) within 1e-13
+    relative of the mpmath oracle; a and b must be normal numbers.  The
+    rounding of s + t and s - t (below 350 in size) moves sinh^2 and cosh
+    by at most about 7e-14 relative.  Near perfect privacy 1 - P can itself
+    be subnormal, where rounding is absolute: one subnormal step is allowed
+    on top."""
+    finfo = np.finfo(float)
+    assert values[0] >= finfo.tiny and values[1] >= finfo.tiny
+    for got, exact in zip(values, exact_chart_values(m, nu, s, t), strict=True):
+        assert abs(got - exact) <= 1e-13 * exact + finfo.smallest_subnormal
+
+
+@given(
+    log_m=st.floats(math.log10(2.0), 150.0),
+    n_th=st.sampled_from([0.0, 0.5, 5.0]),
+    log_n_eff=st.floats(-300.0, 150.0),
+    u=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_match_the_oracle_over_the_whole_budget(log_m, n_th, log_n_eff, u):
+    # integer M and N_eff up to MAX_CHART_N, N_eff down to 1e-300; where a
+    # or b is 0 or subnormal the closed forms have lost their relative
+    # accuracy (the documented underflow), and the optimizer raises there
+    tiny = np.finfo(float).tiny
+    m, n_eff, nu = max(2, round(10.0**log_m)), 10.0**log_n_eff, 1.0 + 2.0 * n_th
+    t = u * budget(m, 0.0, n_eff)[2]  # t_max depends on M and N_eff alone
+    s, *values = (float(v) for v in _chart_values(float(m), nu, n_eff, t))
+    if min(values[:2]) >= tiny:
+        _assert_matches_oracle(m, nu, s, t, values)
+    # the optimizer on a row of about that budget, unless the floor
+    # swallows N_eff or M n_th + nu N_eff rounds past MAX_CHART_N
+    row = (m, n_th, m * n_th + nu * n_eff)
+    try:
+        n_eff = budget(*row)[1]
+    except NumericalError:
+        n_eff = 0.0
+    if n_eff == 0.0:
+        return
+    for objective in OBJECTIVES:
+        try:
+            r = optimize_batch([row], objective)[0]
+        except NumericalError as exc:
+            assert "underflows" in str(exc)
+            if objective == "precision":  # the t = 0 state
+                a, b = _chart_values(float(m), nu, n_eff, 0.0)[1:3]
+                assert min(a, b) < tiny
+            continue
+        values = (r.fim.a, r.fim.b, r.xi, r.one_minus_privacy)
+        _assert_matches_oracle(m, nu, r.params.s, r.params.t, values)
 
 
 def test_batch_rows_do_not_depend_on_their_neighbours():
@@ -248,10 +293,13 @@ def test_subnormal_fisher_information_raises():
 
 
 def test_fisher_information_underflowing_to_zero_raises():
-    # N_eff = 1e-300 > 0, but a ~ 4 N_eff / M and b ~ 8 N_eff / M^2 round to 0
-    for objective in ("precision", "privacy"):
-        with pytest.raises(NumericalError, match="underflows to zero"):
-            optimize_batch([(3, 0.0, 10.0), (10**30, 0.0, 1e-300)], objective)
+    # N_eff = 1e-300 > 0, but a ~ 4 N_eff / M and b ~ 8 N_eff / M^2 round to
+    # 0; at M = 1e149, N_eff = 1e-30 b alone rounds to 0, away from s = t,
+    # and xi = M (a + M b) read half its value, 4e-30 for 8e-30
+    for row in [(10**30, 0.0, 1e-300), (10**149, 0.0, 1e-30)]:
+        for objective in ("precision", "privacy"):
+            with pytest.raises(NumericalError, match="underflows to zero"):
+                optimize_batch([(3, 0.0, 10.0), row], objective)
 
 
 def test_ratio_to_best_xi_never_exceeds_one():
@@ -268,14 +316,14 @@ def test_precision_is_the_t0_state_without_search():
     rows = [(2, 0.0, 1.0), (2, 0.5, 40.0), (3, 1.0, 50.0), (6, 5.0, 31.0), (50, 0.0, 1e3)]
     for (m, n_th, n_tot), result in zip(rows, optimize_batch(rows, "precision")):
         assert result.params.t == 0.0 and result.iterations == 0
-        assert result.params.s == float(solve_s(0.0, m, squeezed_photons(m, n_th, n_tot)))
+        assert result.params.s == float(solve_s(0.0, m, budget(m, n_th, n_tot)[1]))
     # xi is flat here: a grid search lands anywhere within ~1e-4 of 0
     assert maximize_precision(4, 0.0, 1e7).params.t == 0.0
 
 
 def _one_minus_privacy_at(m, n_th, n_tot, t):
     """1 - P (mean weights) of the family state at t, from its chart."""
-    s = solve_s(t, m, squeezed_photons(m, n_th, n_tot))
+    s = solve_s(t, m, budget(m, n_th, n_tot)[1])
     a, b = chart_fisher_coeffs(m, 1.0 + 2.0 * n_th, s, t)
     return one_minus_privacy_from_ab(a, b, m)
 
@@ -291,7 +339,7 @@ def test_reflection_lowers_one_minus_privacy(m, n_th, excess, u):
     # at equal |t| the squeezing s is the same, a(-t) <= a(t) and
     # b(-t) >= b(t), so the privacy optimum lies in [-t_max, 0]
     n_tot = m * n_th + excess
-    t = u * free_parameter_range(m, n_th, n_tot)
+    t = u * budget(m, n_th, n_tot)[2]
     left = _one_minus_privacy_at(m, n_th, n_tot, -t)
     right = _one_minus_privacy_at(m, n_th, n_tot, t)
     # a few ulp of rounding in sinh and arcsinh
@@ -348,7 +396,7 @@ def test_thermal_privacy_optimum_is_the_pure_one_at_n_eff(m, n_th, excess):
     # Where 1 - P is flat the golden search finds t* to about sqrt(eps)
     # (at most 6.2e-8 apart over 20,000 random rows)
     n_tot = m * n_th + excess
-    n_eff = float(squeezed_photons(m, n_th, n_tot))
+    n_eff = float(budget(m, n_th, n_tot)[1])
     thermal, pure = optimize_batch([(m, n_th, n_tot), (m, 0.0, n_eff)], "privacy")
     assert abs(thermal.params.t - pure.params.t) <= 1e-7
     assert thermal.one_minus_privacy == pytest.approx(pure.one_minus_privacy, rel=1e-13)
