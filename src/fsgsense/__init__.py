@@ -6,6 +6,19 @@ The top level exports the product API and the dense references that the
 benchmark's output checks use; everything else lives in its module.
 """
 
+import os
+
+# No product module calls BLAS or LAPACK, yet OpenBLAS starts one worker per
+# CPU when numpy loads, and each idle worker spins before it sleeps.  Load
+# numpy with one BLAS thread unless the caller chose a count; OpenBLAS reads
+# the variable only at load, so the environment is restored at once.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import DomainError, FsgSenseError, InfeasibleError, NumericalError
 from .family import FsgParams
 from .homodyne import (

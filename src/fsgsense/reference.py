@@ -10,6 +10,7 @@ module imports this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -371,8 +372,7 @@ def homodyne_cov_derivatives(blocks: FsgBlocks, theta_hd: float) -> list[np.ndar
     return out
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     t: float
     xi: float
     privacy: float
@@ -388,7 +388,5 @@ def scan_free_parameter(
     ts = np.linspace(-t_max, t_max, grid_points)
     _, a, b, xi_arr, _ = _chart_values(M, nu, n_eff, ts)
     p_arr = privacy_from_ab(a, b, M, 1.0 / M)
-    return [
-        ScanPoint(t=float(t), xi=float(x), privacy=float(p))
-        for t, x, p in zip(ts, xi_arr, p_arr)
-    ]
+    rows = zip(ts.tolist(), xi_arr.tolist(), p_arr.tolist())
+    return list(map(ScanPoint._make, rows))

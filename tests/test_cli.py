@@ -176,6 +176,61 @@ def test_product_modules_leave_the_references_out():
     assert into_reference == []
 
 
+# the operator and the numpy names that reach BLAS or LAPACK
+BLAS_ENTRY_POINTS = {"@", "linalg", "dot", "vdot", "matmul", "einsum", "tensordot", "inner"}
+
+
+def test_product_modules_call_no_blas():
+    # why fsgsense loads numpy with one OpenBLAS thread (__init__.py): a
+    # BLAS call on the product path has to revisit that choice
+    package = Path(fsgsense.__file__).resolve().parent
+    found = []
+    for stem in sorted(PRODUCT_MODULES):
+        path = package / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                used = {"@"} if isinstance(node.op, ast.MatMult) else set()
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            elif isinstance(node, ast.Name):
+                used = {node.id}
+            elif isinstance(node, ast.ImportFrom):
+                used = {alias.name for alias in node.names}
+                used |= set((node.module or "").split("."))
+            elif isinstance(node, ast.Import):
+                used = {part for alias in node.names for part in alias.name.split(".")}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {u}" for u in used & BLAS_ENTRY_POINTS]
+    assert found == []
+
+
+_BLAS_PROBE = (
+    "import os\n"
+    "before = dict(os.environ)\n"
+    "import fsgsense\n"
+    "print(len(os.listdir('/proc/self/task')), os.environ == before,"
+    " os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+@pytest.mark.parametrize("chosen", [None, "2"])
+def test_numpy_loads_with_one_blas_thread_unless_the_caller_chose(chosen, monkeypatch):
+    # an idle OpenBLAS worker per CPU spun for 0.1-0.15 s of CPU per run;
+    # the caller's own OPENBLAS_NUM_THREADS and environment are kept
+    if chosen is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    elif (os.cpu_count() or 1) < 2:
+        pytest.skip("a second BLAS thread needs two CPUs")
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", chosen)
+    proc = _python("-c", _BLAS_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    tasks = 1 if chosen is None else int(chosen)
+    assert proc.stdout.split() == [str(tasks), "True", str(chosen)]
+
+
 PRODUCT_API = {
     "maximize_precision", "maximize_privacy", "optimize_batch", "OptResult",
     "FsgParams", "StructuredFim", "optimize_homodyne_angle",

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from fsgsense import kernels
 from fsgsense.errors import DomainError, InfeasibleError, NumericalError
 from fsgsense.family import budget, solve_s
-from fsgsense.metrology import chart_fisher_coeffs, one_minus_privacy_from_ab
+from fsgsense.metrology import (
+    chart_fisher_coeffs,
+    one_minus_privacy_from_ab,
+    privacy_from_ab,
+)
 from fsgsense.optimize import (
     OBJECTIVES,
     _chart_values,
@@ -108,6 +112,25 @@ def test_scan_free_parameter_shape_and_symmetric_grid():
     ts = np.array([p.t for p in points])
     assert ts[0] == pytest.approx(-ts[-1])
     assert np.all(np.diff(ts) > 0)
+
+
+@pytest.mark.parametrize(
+    "row, n",
+    [((3, 1.0, 3.0), 5), ((2, 0.0, 1.0), 101), ((4, 0.0, 100.0), 4001), ((6, 5.0, 1e6), 333)],
+)
+def test_scan_free_parameter_is_the_chart_evaluator_on_the_grid(row, n):
+    # (3, 1, 3) is the thermal floor: t_max = 0 and the privacy is NaN
+    m, n_th, n_tot = row
+    nu, n_eff, t_max = budget(m, n_th, n_tot)
+    ts = np.linspace(-t_max, t_max, n)
+    _, a, b, xi, _ = _chart_values(m, nu, n_eff, ts)
+    expected = np.stack([ts, xi, privacy_from_ab(a, b, m, 1.0 / m)], axis=1)
+    points = scan_free_parameter(m, n_th, n_tot, n)
+    assert all(type(v) is float for p in points for v in p)
+    got = np.array(points, dtype=float)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert np.isnan(got[:, 2]).all() == (t_max == 0.0)
 
 
 def test_scan_rejects_tiny_grid():
