@@ -8,13 +8,11 @@ Exit codes: 0 ok, 1 config/validation error, 2 infeasible photon budget,
 from __future__ import annotations
 
 import contextlib
-import csv
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -43,8 +41,7 @@ N_GRID_KEYS = {"min", "max", "points", "spacing"}
 MAX_ARRAY_LEN = 2**53
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One row of a figure-reproduction sweep; schema is frozen.  A row below
     the thermal floor is the defaults: infeasible, every value None."""
 
@@ -70,7 +67,7 @@ class SweepRecord:
     feasible: bool = False
 
 
-CSV_FIELDS = [f.name for f in dataclasses.fields(SweepRecord)]
+CSV_FIELDS = list(SweepRecord._fields)
 
 
 def _record(
@@ -168,12 +165,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# A feasible row in one format, with or without its homodyne cells: M is an
+# int and every other number a float, as _record builds them.
+_ROW = "%d,%.17g,%.17g,%s," + "%.17g," * 15 + "true"
+_ROW_NO_HD = "%d,%.17g,%.17g,%s," + "%.17g," * 12 + ",,,true"
+
+
+def _line(rec: SweepRecord) -> str:
+    """One CSV line: _fmt of every cell, joined by commas.  A feasible row
+    takes one format; a row with a None or NaN cell goes cell by cell."""
+    if rec.feasible is True:
+        hd = rec[16:19] != (None, None, None)  # theta_hd_star, xi_hd, r_hd
+        try:
+            line = _ROW % rec[:19] if hd else _ROW_NO_HD % rec[:16]
+        except TypeError:  # a None cell
+            pass
+        else:
+            if "nan" not in line:
+                return line
+    return ",".join(map(_fmt, rec))
+
+
 def _write_csv(path: str, records) -> None:
+    """Write the header and the records' lines in one write, as csv.writer's
+    default dialect would: CRLF after every line, and no cell needs quotes."""
+    lines = [",".join(CSV_FIELDS), *map(_line, records), ""]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_FIELDS)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, name)) for name in CSV_FIELDS])
+        handle.write("\r\n".join(lines))
 
 
 @contextlib.contextmanager
@@ -286,7 +304,7 @@ def state(modes, nth, n_tot, objective):
     with _exit_codes():
         budget(modes, nth, n_tot)
         record = compute_record(modes, nth, n_tot, objective, homodyne=True)
-        _echo_json(dataclasses.asdict(record))
+        _echo_json(record._asdict())
 
 
 @main.command()

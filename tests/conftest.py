@@ -138,17 +138,21 @@ def full_z_scan(f, lo, hi):
 
 
 def same_fields(x, y) -> bool:
-    """Dataclass equality, nested dataclasses included, with NaN == NaN."""
+    """Equality of two records of one type, dataclasses or NamedTuples,
+    nested records and tuples included, with NaN == NaN."""
 
-    def flat(values):
-        out = []
-        for v in values:
-            out.extend(flat(v) if isinstance(v, tuple) else [v])
-        return out
+    def fields(value):
+        if dataclasses.is_dataclass(value):
+            return [getattr(value, f.name) for f in dataclasses.fields(value)]
+        return list(value) if isinstance(value, tuple) else None
 
-    fx, fy = flat(dataclasses.astuple(x)), flat(dataclasses.astuple(y))
-    return len(fx) == len(fy) and all(
-        a == b or (a != a and b != b) for a, b in zip(fx, fy)
+    fx, fy = fields(x), fields(y)
+    if fx is None and fy is None:
+        return x == y or (x != x and y != y)
+    return (
+        type(x) is type(y)
+        and len(fx) == len(fy)
+        and all(map(same_fields, fx, fy))
     )
 
 

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import importlib
 import inspect
 import json
@@ -153,11 +154,19 @@ PRODUCT_MODULES = {
 def test_product_modules_leave_the_references_out():
     # the product path is what the CLI runs; the block form and the dense
     # oracles live in reference (with symplectic beneath it), which only the
-    # top level, for perfbench/checks.py, and the tests import
+    # top level, for perfbench/checks.py, and the tests import, and the top
+    # level only inside a function (its PEP 562 __getattr__), on first use
     package = Path(fsgsense.__file__).resolve().parent
-    product, into_reference = [], []
+    product, into_reference, eager = [], [], []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_functions = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -171,9 +180,49 @@ def test_product_modules_leave_the_references_out():
                 product.append(where)
             if path.name != "__init__.py" and "reference" in parts:
                 into_reference.append(where)
+            dense = parts & {"reference", "symplectic"}
+            if path.name == "__init__.py" and dense and id(node) not in in_functions:
+                eager.append(where)
     assert {p.stem for p in package.glob("*.py")} >= PRODUCT_MODULES
     assert product == []
     assert into_reference == []
+    assert eager == []
+
+
+_DENSE_PROBE = (
+    "import sys, fsgsense.cli\n"
+    "def dense():\n"
+    "    return sorted(m for m in sys.modules if m in"
+    " ('fsgsense.reference', 'fsgsense.symplectic'))\n"
+    "print(dense())\n"
+    "for argv in {runs!r}:\n"
+    "    fsgsense.cli.main(argv, prog_name='fsgsense', standalone_mode=False)\n"
+    "    print(dense())\n"
+)
+
+
+def test_cli_runs_leave_the_dense_references_unloaded(tmp_path):
+    # import, figures and mc: no command calls an oracle, so none pays
+    # for loading reference or symplectic
+    runs = [["figures", "--outdir", str(tmp_path), "--which", "2,3,4"], MC_SMALL]
+    out = _python("-c", _DENSE_PROBE.format(runs=runs))
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.strip().splitlines()
+    assert [line for line in lines if line.startswith("[")] == ["[]"] * 3
+
+
+def test_top_level_references_are_the_reference_objects():
+    import fsgsense.reference as reference
+
+    for name in BENCHMARK_ORACLES:
+        assert getattr(fsgsense, name) is getattr(reference, name), name
+    from fsgsense import FsgBlocks as blocks
+    from fsgsense.symplectic import assemble_covariance
+
+    assert blocks is reference.FsgBlocks and callable(assemble_covariance)
+    with pytest.raises(AttributeError) as info:
+        fsgsense.no_such_name
+    assert str(info.value) == "module 'fsgsense' has no attribute 'no_such_name'"
 
 
 # the operator and the numpy names that reach BLAS or LAPACK
@@ -246,10 +295,11 @@ BENCHMARK_ORACLES = {
 
 
 def test_top_level_exports_the_product_api_and_the_benchmark_oracles():
+    # dir(), not vars(): the references are listed before their first use
     public = {
         name
-        for name, value in vars(fsgsense).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        for name in dir(fsgsense)
+        if not name.startswith("_") and not inspect.ismodule(getattr(fsgsense, name))
     }
     assert public == PRODUCT_API | BENCHMARK_ORACLES
 
@@ -609,6 +659,81 @@ def test_csv_schema_is_frozen():
     assert record == cli.SweepRecord(4, 5.0, 10.0, "privacy")
     assert record.feasible is False
     assert all(getattr(record, name) is None for name in CSV_FIELDS[4:-1])
+
+
+def _csv_writer_bytes(path, records):
+    """The CSV as csv.writer writes it, each cell by the rule the CLI has
+    always used: None and NaN empty, bools lower case, floats to 17
+    significant digits, anything else str()."""
+
+    def cell(value):
+        if value is None or (isinstance(value, float) and value != value):
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_FIELDS)
+        for rec in records:
+            writer.writerow([cell(getattr(rec, name)) for name in CSV_FIELDS])
+    return Path(path).read_bytes()
+
+
+def test_csv_writer_matches_csv_module(tmp_path):
+    # one format per feasible row, cell by cell for a row holding None or
+    # NaN: the bytes are csv.writer's either way
+    computed = [
+        compute_record(4, 5.0, 10.0, "privacy", True),  # infeasible
+        compute_record(2, 0.0, 0.0, "precision", True),  # xi = 0, no homodyne cells
+        compute_record(3, 0.5, 1.5, "privacy", True),  # the floor: privacy NaN
+        compute_record(3, 1.0, 50.0, "privacy", False),
+        compute_record(10**20, 0.0, 1e3, "precision", True),
+        compute_record(2**53 + 1, 0.0, 1e3, "privacy", True),
+        compute_record(5, 0.0, 1e149, "privacy", True),
+    ]
+    assert [rec.feasible for rec in computed] == [False] + [True] * 6
+    assert computed[1].xi == 0.0 and computed[1].theta_hd_star is None
+    assert math.isnan(computed[2].privacy)
+    feasible, homodyne = computed[3], computed[6]
+    edited = [
+        feasible._replace(t_star=-0.0, gam2=-0.0),
+        homodyne._replace(s_star=-0.0, r_hd=np.float64(-0.0)),
+        homodyne._replace(
+            n_th=np.float64(1.0), eps1=np.float64(1 / 3), F12=np.float64(-1e-300),
+            xi=np.float64(math.inf), xi_hd=np.float64(2.5),
+        ),
+        feasible._replace(theta_hd_star=0.5, xi_hd=2.0, r_hd=math.nan),
+        feasible._replace(theta_hd_star=0.5),
+        feasible._replace(xi_hd=math.nan),
+        feasible._replace(F11=None),
+        computed[0]._replace(t_star=1.5),
+    ]
+    records = computed + edited
+    want = _csv_writer_bytes(tmp_path / "want.csv", records)
+    cli._write_csv(str(tmp_path / "got.csv"), iter(records))
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == want
+    lines = got.split(b"\r\n")  # a CRLF ends every line, the last too
+    assert len(lines) == len(records) + 2 and lines[-1] == b""
+    assert b"\n" not in b"".join(lines) and b"\r" not in b"".join(lines)
+    cli._write_csv(str(tmp_path / "empty.csv"), [])
+    assert (tmp_path / "empty.csv").read_bytes() == _csv_writer_bytes(tmp_path / "e.csv", [])
+
+
+def test_homodyne_sweep_csv_is_pinned(runner, tmp_path):
+    # infeasible rows, rows at the floor (N_tot = M n_th: no homodyne cells,
+    # privacy NaN) and homodyne optima, as the csv-module writer wrote them
+    config, cfg = _sweep_config(
+        tmp_path, M_list=[2, 4], n_th_list=[0.0, 2.5], homodyne=True,
+        N_grid={"min": 0.0, "max": 30, "points": 7, "spacing": "linear"},
+    )
+    assert runner.invoke(main, ["sweep", "--config", str(config)]).exit_code == 0
+    body = Path(cfg["output"]).read_bytes()
+    assert hashlib.sha256(body).hexdigest() == (
+        "26f5dc46fee97c9b1491a495b0452564f9fc181572afc1a41c4286ccaf038698"
+    )
 
 
 def test_sweep_is_deterministic(runner, tmp_path):

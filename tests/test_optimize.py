@@ -23,6 +23,7 @@ from fsgsense.optimize import (
     optimize_batch,
 )
 from fsgsense.reference import (
+    ScanPoint,
     blocks_from_params,
     closed_form_privacy_of_optimum,
     fisher_coeffs,
@@ -126,6 +127,7 @@ def test_scan_free_parameter_is_the_chart_evaluator_on_the_grid(row, n):
     _, a, b, xi, _ = _chart_values(m, nu, n_eff, ts)
     expected = np.stack([ts, xi, privacy_from_ab(a, b, m, 1.0 / m)], axis=1)
     points = scan_free_parameter(m, n_th, n_tot, n)
+    assert all(type(p) is ScanPoint for p in points)
     assert all(type(v) is float for p in points for v in p)
     got = np.array(points, dtype=float)
     assert got.shape == expected.shape
