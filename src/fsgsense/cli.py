@@ -165,33 +165,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# A feasible row in one format, with or without its homodyne cells: M is an
-# int and every other number a float, as _record builds them.
-_ROW = "%d,%.17g,%.17g,%s," + "%.17g," * 15 + "true"
-_ROW_NO_HD = "%d,%.17g,%.17g,%s," + "%.17g," * 12 + ",,,true"
-
-
-def _line(rec: SweepRecord) -> str:
-    """One CSV line: _fmt of every cell, joined by commas.  A feasible row
-    takes one format; a row with a None or NaN cell goes cell by cell."""
-    if rec.feasible is True:
-        hd = rec[16:19] != (None, None, None)  # theta_hd_star, xi_hd, r_hd
-        try:
-            line = _ROW % rec[:19] if hd else _ROW_NO_HD % rec[:16]
-        except TypeError:  # a None cell
-            pass
-        else:
-            if "nan" not in line:
-                return line
-    return ",".join(map(_fmt, rec))
-
-
 def _write_csv(path: str, records) -> None:
-    """Write the header and the records' lines in one write, as csv.writer's
-    default dialect would: CRLF after every line, and no cell needs quotes."""
-    lines = [",".join(CSV_FIELDS), *map(_line, records), ""]
+    """Write the header and one line per record, as csv.writer's default
+    dialect would: CRLF after every line, and no cell needs quotes."""
     with open(path, "w", newline="") as handle:
-        handle.write("\r\n".join(lines))
+        handle.write(",".join(CSV_FIELDS) + "\r\n")
+        handle.writelines(",".join(map(_fmt, r)) + "\r\n" for r in records)
 
 
 @contextlib.contextmanager

@@ -10,7 +10,6 @@ module imports this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -390,6 +389,4 @@ def scan_free_parameter(
     _, a, b, xi_arr, _ = _chart_values(M, nu, n_eff, ts)
     p_arr = privacy_from_ab(a, b, M, 1.0 / M)
     rows = zip(ts.tolist(), xi_arr.tolist(), p_arr.tolist())
-    # tuple.__new__ is what ScanPoint._make calls, minus a Python frame per
-    # point, which is most of the cost of a 4,001-point grid
-    return list(map(tuple.__new__, repeat(ScanPoint), rows))
+    return list(map(ScanPoint._make, rows))

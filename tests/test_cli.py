@@ -682,8 +682,8 @@ def _csv_writer_bytes(path, records):
 
 
 def test_csv_writer_matches_csv_module(tmp_path):
-    # one format per feasible row, cell by cell for a row holding None or
-    # NaN: the bytes are csv.writer's either way
+    # feasible and infeasible rows, rows holding None or NaN, signed zeros
+    # and numpy floats: the bytes are csv.writer's in every case
     computed = [
         compute_record(4, 5.0, 10.0, "privacy", True),  # infeasible
         compute_record(2, 0.0, 0.0, "precision", True),  # xi = 0, no homodyne cells
