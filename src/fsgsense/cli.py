@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from .errors import FsgSenseError, InfeasibleError, NumericalError
-from .family import budget, chart_blocks
+from .family import below_floor, budget, chart_blocks
 from .homodyne import (
     HomodyneOpt,
     McConfig,
@@ -106,14 +106,6 @@ def _record(
     )
 
 
-def _feasible(M: int, n_th: float, N_tot: float) -> bool:
-    try:
-        budget(M, n_th, N_tot)
-    except InfeasibleError:
-        return False
-    return True
-
-
 def _compute_records(points, objective: str, homodyne: bool) -> list[SweepRecord]:
     """Records of (M, n_th, N_tot) points under one objective, in order.
 
@@ -121,7 +113,7 @@ def _compute_records(points, objective: str, homodyne: bool) -> list[SweepRecord
     angles with homodyne (else empty cells) and their covariance entries,
     which raise NumericalError if one overflows.
     """
-    feasible = [_feasible(*point) for point in points]
+    feasible = [not below_floor(*point) for point in points]
     rows = [point for point, ok in zip(points, feasible) if ok]
     optima = optimize_batch(rows, objective)
     params = [r.params for r in optima]

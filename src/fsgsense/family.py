@@ -69,6 +69,20 @@ def chart_blocks(m, nu, s, t):
     )
 
 
+def below_floor(M: int, n_th: float, N_tot: float) -> bool:
+    """Whether the row (M, n_th, N_tot) lies below its thermal floor, the
+    one home of the rule: strict and exact in floating point, N_tot < M n_th,
+    so that budget (every command) and the CSV's feasible column agree.
+    Raises DomainError for M < 2 or a negative or NaN n_th or N_tot first."""
+    if M < 2:
+        raise DomainError(f"M must be >= 2, got {M}")
+    if not n_th >= 0.0:
+        raise DomainError(f"n_th must be >= 0, got {n_th}")
+    if not N_tot >= 0.0:
+        raise DomainError(f"N_tot must be >= 0, got {N_tot}")
+    return N_tot < M * n_th
+
+
 def budget(M: int, n_th: float, N_tot: float) -> tuple[float, float, float]:
     """Photon budget (nu, N_eff, t_max) of the row (M, n_th, N_tot).
 
@@ -78,26 +92,16 @@ def budget(M: int, n_th: float, N_tot: float) -> tuple[float, float, float]:
     near the floor, and has a solution s >= 0 (solve_s) exactly for |t| <=
     t_max, (M-1) sinh^2 t_max = N_eff.
 
-    Raises DomainError for M < 2 or a negative or NaN n_th or N_tot,
-    InfeasibleError below the thermal floor, and NumericalError for M or
-    N_eff above MAX_CHART_N, where the Fisher information overflows (M is
-    compared exactly, as FsgParams does).  The floor rule is strict and
-    exact in floating point, N_tot < M n_th, so that every command and the
-    CSV's feasible column agree on it.
+    Raises below_floor's DomainError, InfeasibleError where below_floor
+    holds, and NumericalError for M or N_eff above MAX_CHART_N, where the
+    Fisher information overflows (M is compared exactly, as FsgParams does).
     """
-    if M < 2:
-        raise DomainError(f"M must be >= 2, got {M}")
-    if not n_th >= 0.0:
-        raise DomainError(f"n_th must be >= 0, got {n_th}")
-    if not N_tot >= 0.0:
-        raise DomainError(f"N_tot must be >= 0, got {N_tot}")
-    floor = M * n_th
-    if N_tot < floor:
+    if below_floor(M, n_th, N_tot):
         raise InfeasibleError(
-            f"photon budget N_tot={N_tot} below thermal floor M*n_th={floor}"
+            f"photon budget N_tot={N_tot} below thermal floor M*n_th={M * n_th}"
         )
     nu = 1.0 + 2.0 * n_th
-    n_eff = (N_tot - floor) / nu
+    n_eff = (N_tot - M * n_th) / nu
     if not (M <= MAX_CHART_N and n_eff <= MAX_CHART_N):
         raise NumericalError(
             f"M={M:.3g} or photon budget N_tot={N_tot!r} at n_th={n_th!r} is too large: "

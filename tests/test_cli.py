@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from conftest import same_fields
 
 import fsgsense
-from fsgsense import cli
+from fsgsense import cli, family, optimize
 from fsgsense.cli import CSV_FIELDS, compute_record, main
 from fsgsense.errors import DomainError, InfeasibleError, NumericalError
 from fsgsense.reference import FsgBlocks
@@ -831,13 +831,20 @@ def test_sweep_config_errors_exit_1(runner, tmp_path):
         {"N_grid": {"min": 1.0, "max": 10.0, "points": 10**400}},
         {"N_grid": {"min": 1.0, "max": 10.0, "points": 2**63}},
         {"N_grid": {"min": 1.0, "max": 10.0, "points": 2**53 + 1}},
+        {"N_grid": [1, 10, 3]},
+        {"N_grid": {"min": 1.0, "max": 10**400, "points": 3}},
+        {"N_grid": {"min": 1.0, "max": 10.0, "points": 3, "spacing": "cubic"}},
+        {"M_list": []},
+        {"n_th_list": []},
+        {"n_th_list": [10**400]},
     ],
     ids=[
         "typo-key", "weights-key", "typo-N_grid-key", "negative-N", "missing-N-keys",
         "nan-N", "inf-N", "bad-points", "nan-n_th", "float-M", "bool-M", "string-M_list",
         "huge-M", "string-homodyne", "int-homodyne", "float-points", "string-N",
         "string-n_th", "int-output", "huge-points", "points-past-maxsize",
-        "points-past-2**53",
+        "points-past-2**53", "list-N_grid", "huge-N", "unknown-spacing", "empty-M_list",
+        "empty-n_th_list", "huge-n_th",
     ],
 )
 def test_sweep_bad_config_exits_1(runner, tmp_path, overrides):
@@ -890,6 +897,23 @@ def test_figure_sweep_is_one_batch_per_objective(monkeypatch):
     assert names == ["optimize_batch", "optimize_homodyne_angles"] * 2
     feasible = sum(rec.feasible for rec in records) // 2
     assert [rows for name, rows in calls if name == "optimize_batch"] == [feasible] * 2
+
+
+def test_figures_compute_each_budget_at_most_once_per_point(runner, tmp_path, monkeypatch):
+    # family.below_floor decides each row's feasibility, and optimize_batch
+    # takes each feasible row's budget; no row's budget is computed twice
+    calls = []
+
+    def counted(*row):
+        calls.append(row)
+        return family.budget(*row)
+
+    monkeypatch.setattr(optimize, "budget", counted)
+    monkeypatch.setattr(cli, "budget", counted)
+    result = runner.invoke(main, ["figures", "--outdir", str(tmp_path), "--which", "2,3,4"])
+    assert result.exit_code == 0, result.output
+    grid = len(cli.DEFAULT_M_LIST) * len(cli.DEFAULT_NTH_LIST) * cli.DEFAULT_N_GRID["points"]
+    assert 0 < len(calls) <= 3 * grid == 1125
 
 
 def test_numerical_failure_in_a_batch_exits_3(runner, tmp_path):

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsgsense import cli
 from fsgsense.errors import DomainError, InfeasibleError
-from fsgsense.family import FsgParams, budget, solve_s
+from fsgsense.family import FsgParams, below_floor, budget, solve_s
 from fsgsense.homodyne import (
     McConfig,
     homodyne_fim,
     mc_estimate,
     optimize_homodyne_angle,
 )
+from fsgsense.metrology import StructuredFim
 from fsgsense.optimize import maximize_precision, maximize_privacy
 from fsgsense.reference import (
     _TOL_NU,
@@ -127,6 +129,10 @@ def test_thermal_floor_raises():
     with pytest.raises(InfeasibleError):
         budget(3, 0.1, 0.3)
     budget(2, 5.0, 10.0)
+    assert below_floor(4, 5.0, 10.0)
+    assert below_floor(3, 0.1, 0.3)
+    # the floor row itself is feasible
+    assert not below_floor(4, 5.0, 20.0)
 
 
 _STATE = FsgParams(M=3, n_th=0.0, s=1.0, t=-0.3)
@@ -154,11 +160,15 @@ _STATE = FsgParams(M=3, n_th=0.0, s=1.0, t=-0.3)
         lambda: FsgParams(3, 0.0, 0.0, -400.0),
         lambda: FsgParams(10**151, 0.0, 0.0, 0.0),
         lambda: FsgParams(3, 0.0, 173.5, 0.0),
+        # below the floor too: M < 2 is a DomainError, not an infeasible row
+        lambda: cli.compute_record(1, 1.0, 0.5, "precision", False),
+        lambda: StructuredFim(1, 1.0, 0.0),
     ],
     ids=["negative_n_th", "M_1", "nan_N_tot", "nan_n_th", "nan_z_hd", "nan_angle",
          "inf_angle", "minus_inf_angle", "nan_chart_n_th", "nan_s_angle_search",
          "nan_s_mc", "inf_t", "minus_inf_s", "huge_chart_angle_search", "huge_t",
-         "huge_M", "chart_N_eff_past_the_bound"],
+         "huge_M", "chart_N_eff_past_the_bound", "sweep_row_M_1_below_floor",
+         "structured_fim_M_1"],
 )
 def test_invalid_input_raises_domain_error_before_any_arithmetic(call):
     # numpy warnings are errors in this suite, so a warning from arithmetic

@@ -131,6 +131,14 @@ def test_fim_is_finite_where_z_is_infinite(theta):
         assert chart_homodyne_coeffs(5, 3.0, -2.0, z) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("z", [-np.inf, np.inf])
+def test_mc_at_an_infinite_angle_raises(z):
+    # the chart's xi_hd is 0 at z = +-inf, so the Cramer-Rao bound is
+    # undefined; the CLI never gets here, as its angle search raises first
+    with pytest.raises(NumericalError, match="homodyne Fisher information vanishes at this angle"):
+        mc_estimate(FsgParams(3, 0.0, 1.0, -0.3), z, McConfig(100, 10, 1))
+
+
 def test_fim_never_exceeds_quantum_limit(rng):
     from fsgsense.reference import qfim_fsg
 
