@@ -26,7 +26,7 @@ from .homodyne import (
     optimize_homodyne_angle,
     optimize_homodyne_angles,
 )
-from .optimize import OptResult, maximize_privacy, optimize_batch
+from .optimize import OBJECTIVES, OptResult, maximize_privacy, optimize_batch
 
 # spec'd exit-code contract: config errors exit 1
 click.UsageError.exit_code = 1
@@ -264,7 +264,7 @@ def main():
 @click.option("--N", "n_tot", type=float, required=True, help="Total photon budget.")
 @click.option(
     "--objective",
-    type=click.Choice(["precision", "privacy"]),
+    type=click.Choice(OBJECTIVES),
     default="precision",
     show_default=True,
 )
@@ -295,7 +295,7 @@ def sweep(config_path, out):
     objective = cfg.get("objective", "both")
     homodyne = cfg.get("homodyne", False)
     out_path = out or cfg.get("output")
-    if objective not in ("precision", "privacy", "both"):
+    if objective not in (*OBJECTIVES, "both"):
         raise click.ClickException(f"invalid objective {objective!r}")
     if not isinstance(homodyne, bool):
         raise click.ClickException(f"homodyne must be true or false, got {homodyne!r}")
@@ -315,7 +315,7 @@ def sweep(config_path, out):
         raise click.ClickException(
             f"need an output path (config 'output' or --out), got {out_path!r}"
         )
-    objectives = ["precision", "privacy"] if objective == "both" else [objective]
+    objectives = OBJECTIVES if objective == "both" else (objective,)
 
     with _exit_codes():
         n_list = _n_grid(cfg.get("N_grid", DEFAULT_N_GRID))

@@ -175,26 +175,16 @@ def qfim_fsg(blocks: FsgBlocks) -> StructuredFim:
     metrology.chart_fisher_coeffs, which does not cancel.
     """
     nu = _isothermal_nu(blocks, "QFIM closed form needs an isothermal state; ")
-    a, b = fisher_coeffs(blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2, nu)
+    e1, e2, g1, g2 = blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2
+    # x * x, not x ** 2: libm pow can differ from the product in the last bit
+    scale = 2.0 / (1.0 + nu * nu)
+    f11 = (0.5 * (e1 * e1 + e2 * e2) - nu * nu) * scale
+    b = 0.5 * (g1 * g1 + g2 * g2) * scale
+    a = f11 - b
     # guard against rounding at the perfect-privacy point
     if -1e-12 * max(1.0, abs(a + b)) < a < 0.0:
         a = 0.0
     return StructuredFim(M=blocks.M, a=float(a), b=float(b))
-
-
-def fisher_coeffs(eps1, eps2, gam1, gam2, nu):
-    """Structured QFIM coefficients (a, b) of isothermal blocks; array-aware.
-
-    F11 = [ (eps1^2 + eps2^2)/2 - nu^2 ] * 2 / (1 + nu^2),
-    F12 = (gam1^2 + gam2^2) / (1 + nu^2), a = F11 - F12 and b = F12.
-    Squares are products: a scalar x ** 2 goes through libm pow, which
-    can differ from an array's x * x in the last bit.  On the chart this
-    cancels large numbers; see metrology.chart_fisher_coeffs.
-    """
-    scale = 2.0 / (1.0 + nu * nu)
-    f11 = (0.5 * (eps1 * eps1 + eps2 * eps2) - nu * nu) * scale
-    f12 = 0.5 * (gam1 * gam1 + gam2 * gam2) * scale
-    return f11 - f12, f12
 
 
 def fim_inverse(fim: StructuredFim) -> FimInverse:

@@ -17,16 +17,19 @@ from fsgsense.optimize import maximize_precision, maximize_privacy
 from fsgsense.reference import (
     _TOL_NU,
     FsgBlocks,
+    WeightVector,
     blocks_from_params,
+    closed_form_privacy_of_optimum,
     mean_weights,
     optimal_precision_blocks,
     params_from_blocks,
+    precision,
     privacy,
     qfim_fsg,
     tmsv_blocks,
     total_photons,
 )
-from fsgsense.symplectic import fsg_symplectic_eigenvalues
+from fsgsense.symplectic import CovarianceState, fsg_symplectic_eigenvalues
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -96,7 +99,7 @@ def test_total_photons_identity(m, n_th, s, t):
     assert total_photons(blocks) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_family_states_solve_the_photon_constraint(rng):
+def test_solve_s_satisfies_the_photon_constraint(rng):
     for _ in range(100):
         m = int(rng.integers(2, 7))
         n_th = float(rng.uniform(0.0, 3.0))
@@ -116,7 +119,7 @@ def test_budget_t_max_bounds_the_photon_constraint():
     assert 2 * np.sinh(1.5 * t_max + 0.1) ** 2 > n_eff
 
 
-def test_family_states_endpoint_gives_zero_s():
+def test_solve_s_vanishes_at_t_max():
     _, n_eff, t_max = budget(4, 1.0, 30.0)
     s = solve_s(t_max, 4, n_eff)
     assert s == pytest.approx(0.0, abs=1e-6)
@@ -163,12 +166,24 @@ _STATE = FsgParams(M=3, n_th=0.0, s=1.0, t=-0.3)
         # below the floor too: M < 2 is a DomainError, not an infeasible row
         lambda: cli.compute_record(1, 1.0, 0.5, "precision", False),
         lambda: StructuredFim(1, 1.0, 0.0),
+        lambda: FsgBlocks(1, 1.0, 1.0, 0.0, 0.0),
+        lambda: optimal_precision_blocks(3, -1.0),
+        lambda: tmsv_blocks(-1.0),
+        lambda: closed_form_privacy_of_optimum(1, 1.0),
+        lambda: closed_form_privacy_of_optimum(3, -1.0),
+        lambda: WeightVector(np.full((2, 2), 0.25)),
+        lambda: precision(StructuredFim(3, 1.0, 0.0), mean_weights(4)),
+        lambda: privacy(StructuredFim(3, 1.0, 0.0), mean_weights(4)),
+        lambda: CovarianceState(0, np.zeros((0, 0))),
     ],
     ids=["negative_n_th", "M_1", "nan_N_tot", "nan_n_th", "nan_z_hd", "nan_angle",
          "inf_angle", "minus_inf_angle", "nan_chart_n_th", "nan_s_angle_search",
          "nan_s_mc", "inf_t", "minus_inf_s", "huge_chart_angle_search", "huge_t",
          "huge_M", "chart_N_eff_past_the_bound", "sweep_row_M_1_below_floor",
-         "structured_fim_M_1"],
+         "structured_fim_M_1", "blocks_M_1", "optimal_blocks_negative_N",
+         "tmsv_negative_N", "optimum_privacy_M_1", "optimum_privacy_negative_N",
+         "weights_2d", "precision_size_mismatch", "privacy_size_mismatch",
+         "covariance_no_modes"],
 )
 def test_invalid_input_raises_domain_error_before_any_arithmetic(call):
     # numpy warnings are errors in this suite, so a warning from arithmetic

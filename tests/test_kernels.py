@@ -19,7 +19,7 @@ from fsgsense.reference import blocks_from_params, homodyne_cov, qfim_fsg
 @pytest.mark.parametrize(
     "m, n_th, n_tot", [(4, 1.0, 30.0), (2, 0.0, 1.0), (2, 0.5, 40.0), (6, 2.0, 300.0)]
 )
-def test_family_scan_matches_scalar_path(m, n_th, n_tot):
+def test_solve_s_agrees_on_scalars_and_arrays(m, n_th, n_tot):
     nu, n_eff, t_max = budget(m, n_th, n_tot)
     ts = np.linspace(-t_max, t_max, 41)
     s_arr = solve_s(ts, m, n_eff)
@@ -245,7 +245,7 @@ def test_mle_trials_likelihood_matches_50_digits(monkeypatch, m):
                     assert abs(value - ref) <= 3e-12 * max(1.0, abs(ref))
 
 
-def test_qfim_consistency_between_kernel_scan_and_closed_form():
+def test_chart_fisher_coeffs_match_the_block_form_qfim():
     # the optimizer's chart coefficients on the family states must match
     # qfim_fsg of the blocks built from the same chart coordinates
     m, n_th, n_tot = 5, 1.0, 60.0

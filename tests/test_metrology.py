@@ -189,9 +189,21 @@ def test_rank_one_pseudo_inverse(rng):
         assert np.allclose(inv.dense(), pinv, rtol=1e-9, atol=1e-12)
 
 
-def test_zero_fim_raises():
-    with pytest.raises(NumericalError, match="Fisher matrix numerically zero"):
-        fim_inverse(StructuredFim(M=2, a=0.0, b=0.0))
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fim_inverse(StructuredFim(M=2, a=0.0, b=0.0)),
+         "Fisher matrix numerically zero"),
+        (lambda: precision(StructuredFim(3, 0.0, 0.0), mean_weights(3)),
+         "Fisher matrix numerically zero"),
+        (lambda: fim_inverse(StructuredFim(3, 1.0, -1.0 / 3.0)),
+         "rank-deficient along 1"),
+    ],
+    ids=["inverse_zero", "mean_precision_zero", "inverse_rank_deficient"],
+)
+def test_zero_fim_raises(call, message):
+    with pytest.raises(NumericalError, match=message):
+        call()
 
 
 # --------------------------------------------------------------- precision
