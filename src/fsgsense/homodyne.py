@@ -28,6 +28,8 @@ from .metrology import StructuredFim
 # this k, rounding near 1 (1.1e-16) adds over 1e-3 of its variance
 _MAX_REST_DOF = 1e29
 _CHI2_MAX_ITER = 20
+# the least Cramér-Rao deviation in z that mc estimates
+_MIN_Z_DEV = 1e-8
 # Stirling series of ln Gamma(a + 1) - [(a + 1/2) ln a - a + ln(2 pi)/2],
 # the coefficients of a^-1, a^-3, ..., a^-13
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
@@ -114,7 +116,9 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
 
     xi_hd is a sum of two unit-width sech^2 peaks in z at 2s and 2t
     (chart_homodyne_coeffs), so its maximum lies within arccosh sqrt 2 ~
-    0.88 of one of them; kernels.z_search, told both centres, finds it.
+    0.88 of one of them; kernels.z_search, told both centres, finds it on
+    d xi_hd/dz = -[r_s^2 tanh(z - 2s) + (M-1) r_t^2 tanh(z - 2t)], and z*
+    <= 0 where s + t = 0, as xi_hd is even in z there.
     theta* = arctan e^{z*} is in (0, pi/2); pi - theta* gives the same
     Gamma and F.  A state with xi_hd = 0 at z* (s = t = 0) gets None.
     """
@@ -124,10 +128,17 @@ def optimize_homodyne_angles(states: Sequence[FsgParams]) -> list[HomodyneOpt | 
         np.array([getattr(p, name) for p in states], dtype=float)
         for name in ("M", "s", "t")
     )
+    p, q = 2.0 * np.sinh(2.0 * s), 2.0 * np.sinh(2.0 * t)
+
+    def slope(z):  # d xi_hd / dz
+        r_s, r_t = p * kernels.sech(z - 2.0 * s), q * kernels.sech(z - 2.0 * t)
+        return -(r_s * r_s * np.tanh(z - 2.0 * s) + (m - 1.0) * r_t * r_t * np.tanh(z - 2.0 * t))
+
     z_star, _ = kernels.z_search(
-        lambda z: chart_homodyne_coeffs(m, s, t, z)[2],
+        lambda z: chart_homodyne_coeffs(m, s, t, z)[2], slope,
         2.0 * np.minimum(s, t), 2.0 * np.maximum(s, t),
     )
+    z_star = np.where(s + t == 0.0, -np.abs(z_star), z_star)
     a, b, xi_hd = chart_homodyne_coeffs(m, s, t, z_star)
     return [
         HomodyneOpt(
@@ -173,7 +184,7 @@ def mc_estimate(params: FsgParams, z_hd: float, mc: McConfig) -> McReport:
     ci95 = dof var / chi2_dof(0.975 ... 0.025), with dof = trials - 1.
     Raises DomainError for a NaN z_hd, and NumericalError when the
     Cramér-Rao variance underflows or its deviation in z is below
-    100 kernels.Z_TOL, when n (M - 1) exceeds _MAX_REST_DOF, or when a
+    _MIN_Z_DEV, when n (M - 1) exceeds _MAX_REST_DOF, or when a
     trial's maximum lies at the edge of the z scan.
     """
     if math.isnan(z_hd):
@@ -186,11 +197,10 @@ def mc_estimate(params: FsgParams, z_hd: float, mc: McConfig) -> McReport:
     crb = 1.0 / (n * xi_hd)
     if crb < np.finfo(float).tiny:
         raise NumericalError(f"the Cramer-Rao variance {crb:.1e} underflows")
-    # dz/dtheta = 2 cosh z; z_search finds each trial's maximum to Z_TOL
+    # dz/dtheta = 2 cosh z
     z_dev = math.exp(float(np.logaddexp(z_hd, -z_hd)) + 0.5 * math.log(crb))
-    if z_dev < 100.0 * kernels.Z_TOL:
-        raise NumericalError(f"the Cramer-Rao deviation in z, {z_dev:.1e}, is below "
-                             f"100 x the z search's tolerance {kernels.Z_TOL:.0e}")
+    if z_dev < _MIN_Z_DEV:
+        raise NumericalError(f"the Cramer-Rao deviation in z, {z_dev:.1e}, is below {_MIN_Z_DEV}")
     if n * (m - 1) > _MAX_REST_DOF:
         raise NumericalError(
             f"samples x (M - 1) = {float(n) * (m - 1):.1e} exceeds {_MAX_REST_DOF:.0e}: "

@@ -1,5 +1,5 @@
 """Hot numeric kernels, written as numpy array expressions: the lockstep
-searches (golden_max, z_search) and the Monte-Carlo likelihood
+searches (bisect_max, z_search) and the Monte-Carlo likelihood
 (mle_trials).
 
 Per-row parameters broadcast against the trailing axis, so an array of
@@ -10,54 +10,31 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
-
-MAX_GOLDEN_ITER = 200
-_INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 # z_search scans z in steps of Z_STEP, a block of 2 Z_PAD / Z_STEP + 1 points
-# round each peak of a homodyne objective, and refines to Z_TOL
+# round each peak of a homodyne objective
 Z_STEP = 0.25
 Z_PAD = 2.0
-Z_TOL = 1e-10
 
 
-def golden_max(f, lo, hi, tol):
-    """Golden-section maximization on independent brackets, in lockstep.
-
-    f(x) returns the objective at x, one point for every bracket.  Each
-    step moves every bracket still wider than tol; a closed bracket keeps
-    its state, though f still sees a point of it.  NaN values compare
-    false, as in the scalar algorithm.  Raises NumericalError when a
-    bracket is still open after MAX_GOLDEN_ITER steps.
-
-    Returns (x, a, b, iterations): the better final interior point, the
-    final bracket [a, b] and the number of steps each bracket took.
+def bisect_max(slope, lo, hi):
+    """Each row's maximum on [lo, hi] by bisection, in lockstep: slope(x)
+    has the sign of the objective's derivative, at one point x per row.
+    Each step halves every row whose midpoint x lies strictly between its
+    ends, to [lo, x] where slope(x) < 0 and to [x, hi] otherwise (NaN
+    included); a row with adjacent ends keeps them, though slope still
+    sees its midpoint.  Returns (x, halvings): the final midpoints and each
+    row's number of halvings.
     """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    # one column per bracket: a, b, x1, x2, f(x1), f(x2)
-    state = np.array([a, b, x1, x2, f(x1), f(x2)])
-    iterations = np.zeros(a.size, dtype=int)
-    open_ = b - a > tol
-    while open_.any():
-        if iterations.max() == MAX_GOLDEN_ITER:
-            width = float(np.max((state[1] - state[0])[open_]))
-            raise NumericalError(
-                f"golden-section refinement stalled at width {width:.3e}"
-            )
-        a, b, x1, x2, f1, f2 = state
-        left = f1 > f2  # the maximum lies in [a, x2]
-        na, nb = np.where(left, a, x1), np.where(left, x2, b)
-        new_x = np.where(left, nb - _INV_GOLDEN * (nb - na), na + _INV_GOLDEN * (nb - na))
-        new_f = f(new_x)
-        moved = np.where(left, [na, nb, new_x, x1, new_f, f1], [na, nb, x2, new_x, f2, new_f])
-        state = np.where(open_, moved, state)
-        iterations += open_
-        open_ = state[1] - state[0] > tol
-    a, b, x1, x2, f1, f2 = state
-    return np.where(f1 >= f2, x1, x2), a, b, iterations
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    halvings = np.zeros(np.broadcast(lo, hi).shape, dtype=int)
+    while True:
+        x = 0.5 * (lo + hi)
+        open_ = (lo < x) & (x < hi)
+        if not open_.any():
+            return x, halvings
+        left = slope(x) < 0.0
+        lo, hi = np.where(open_ & ~left, x, lo), np.where(open_ & left, x, hi)
+        halvings += open_
 
 
 def sech(u):
@@ -66,7 +43,7 @@ def sech(u):
     return 2.0 * e / (1.0 + e * e)
 
 
-def z_search(f, lo, hi):
+def z_search(f, slope, lo, hi):
     """Each row's maximum of f over z = ln|tan theta|, for a homodyne
     objective whose maximum lies within Z_PAD of one of the row's peak
     centres lo <= hi: a sum of sech^2 peaks there is below half their
@@ -75,8 +52,8 @@ def z_search(f, lo, hi):
     i's scan steps by Z_STEP from lo_i - Z_PAD: a block of 2 Z_PAD / Z_STEP
     + 1 points round lo_i and, where some row has hi > lo, the block
     ceil((hi_i - lo_i) / Z_STEP) steps along, which must beat a row's best
-    strictly, so the lower peak wins a tie.  golden_max refines one step
-    each side of the best point, in lockstep, to width Z_TOL.
+    strictly, so the lower peak wins a tie.  bisect_max refines one step
+    each side of the best point on the sign of slope(z), f's derivative.
 
     Returns (z, edge): the maxima, and whether z lies within one Z_STEP of
     either end of the row's scan.
@@ -93,7 +70,7 @@ def z_search(f, lo, hi):
         better = values[best, rows] > peak
         z0 = np.where(better, grid[best, rows], z0)
         peak = np.where(better, values[best, rows], peak)
-    z = golden_max(f, z0 - Z_STEP, z0 + Z_STEP, Z_TOL)[0]
+    z = bisect_max(slope, z0 - Z_STEP, z0 + Z_STEP)[0]
     edge = (z - first < Z_STEP) | (first + Z_STEP * (last + block - 1) - z < Z_STEP)
     return z, edge
 
@@ -110,9 +87,11 @@ def mle_trials(common, rest, modes, s, t, z_hd):
     by q, q - 1 = -sinh 2x sech(z* - 2x) sinh(z - z*) sech z, adds
     ln q + rho (1/q - 1) to the negative log-likelihood, rho its moment;
     nu drops out, and the weights 1/M and 1 - 1/M keep the M - 1 rest term
-    from overflowing.  The estimates spread by O(1/sqrt(samples)) in z, so
-    z_search maximizes each trial's likelihood round the one centre z*, 17
-    points whatever the budget, within z* +- (Z_PAD + Z_STEP).  There q >
+    from overflowing.  Its slope is -cosh z* sech^2 z sum w rate (q - rho)
+    / q^2, rate = (q - 1) / (sinh(z - z*) sech z) and w the weight.  The
+    estimates spread by O(1/sqrt(samples)) in z, so z_search maximizes each
+    trial's likelihood round the one centre z*, 17 points whatever the
+    budget, within z* +- (Z_PAD + Z_STEP).  There q >
     e^-4.5 ~ 0.011, as ln q = ln cosh(z - 2x) - ln cosh z minus its value
     at z* has |d ln q / dz| < 2: log1p(q - 1) amplifies the rounding of
     q - 1 by |q - 1| / q < 90.  phi = arctan(sinh(d/2) / cosh(z* + d/2)),
@@ -135,7 +114,12 @@ def mle_trials(common, rest, modes, s, t, z_hd):
             total = total - w * (ln_q + rho * np.expm1(-ln_q))
         return total
 
+    def slope(z):  # over its positive factor cosh z* sech^2 z
+        shift = np.sinh(z - z_hd) * sech(z)
+        return -sum(w * rate * (1.0 + rate * shift - rho) / (1.0 + rate * shift) ** 2
+                    for (rate, w), rho in zip(modes_at, (common, rest)))
+
     centre = np.full_like(common, z_hd)
-    z, edge = z_search(log_likelihood, centre, centre)
+    z, edge = z_search(log_likelihood, slope, centre, centre)
     half = 0.5 * (z - z_hd)
     return np.arctan(np.sinh(half) / np.cosh(z_hd + half)), edge

@@ -83,8 +83,7 @@ def one_minus_privacy_from_ab(a, b, m):
     For a, b >= 0 nothing cancels, so 1 - P keeps its relative accuracy as
     P -> 1.  Array-aware; NaN where a + b is not positive.
     """
-    # the n2 = 1/M form, whose (M n2 - 1) b term is 0 as fl(M fl(1/M)) <= 1;
-    # golden-section fixes t* to ~1e-8, and dividing n2 out moved it by 5e-8
+    # the n2 = 1/M form, whose (M n2 - 1) b term is 0 as fl(M fl(1/M)) <= 1
     n2 = 1.0 / m
     num = (m - 1.0) * n2 * a
     den = m * n2 * (a + b)

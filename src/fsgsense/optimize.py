@@ -2,20 +2,21 @@
 
 Both objectives (estimation precision and privacy) are smooth scalar
 functions of t on [-t_max, t_max].  The algebra fixes the precision
-optimum at t = 0 and confines the privacy optimum to [-t_max, 0], where a
-golden-section search finds it (see optimize_batch).  Every state is
+optimum at t = 0 and confines the privacy optimum to [-t_max, 0], where it
+is a root of the closed-form slope (see optimize_batch).  Every state is
 handled in its chart (M, nu, s, t), and one evaluator, _chart_values,
-serves the search, the reported optimum, the t = 0 reference and
+serves the reported optimum, the t = 0 reference and
 reference.scan_free_parameter.
 The result carries the optimum's chart (OptResult.params), not its
 covariance blocks.  Rows (M, n_th, N_tot) sharing an objective are
-optimized as one batch: privacy runs one lockstep golden-section search
-over every row.  The single-row functions are batches of one.
+optimized as one batch: privacy runs one lockstep bisection over every
+row with M >= 3.  The single-row functions are batches of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ from .metrology import (
     xi_from_ab,
 )
 
-BRACKET_TOL = 1e-10
 OBJECTIVES = ("precision", "privacy")
 
 
@@ -47,13 +47,22 @@ class OptResult:
     iterations: int
 
 
-def _chart_values(m, nu, n_eff, t):
-    """s (family.solve_s), QFIM (a, b), xi and 1 - P of the family states
-    at t; rows broadcast on the last axis.  1 - P keeps its relative
-    accuracy as P -> 1, so the privacy search minimizes it."""
-    s = solve_s(t, m, n_eff)
+def _chart_values(m, nu, n_eff, t, s=None):
+    """s (family.solve_s, unless given), QFIM (a, b), xi and 1 - P of the
+    family states at t; rows broadcast on the last axis.  1 - P keeps its
+    relative accuracy as P -> 1."""
+    s = solve_s(t, m, n_eff) if s is None else s
     a, b = chart_fisher_coeffs(m, nu, s, t)
     return s, a, b, xi_from_ab(a, b, m), one_minus_privacy_from_ab(a, b, m)
+
+
+def _privacy_slope(m, n_eff, t):
+    """S d ln(B/A)/dt / 2 of the family states at t (see optimize_batch)."""
+    s = solve_s(t, m, n_eff)
+    S, q, u = np.sinh(2.0 * s), np.sinh(2.0 * t), 2.0 * (s + t)
+    A, T = 2.0 * np.sinh(s + t) ** 2 + (m - 2.0) * q**2, (m - 1.0) * q
+    return ((-T - S) / np.tanh(s - t) + np.tanh(u) * (S - T)
+            - (np.sinh(u) * (S - T) + (m - 2.0) * np.sinh(4.0 * t) * S) / A)
 
 
 def optimize_batch(
@@ -75,11 +84,15 @@ def optimize_batch(
       a(-t) <= a(t), because sinh^2(s-t) <= sinh^2(s+t), while
       b(-t) - b(t) is proportional to sinh^2(s+t) - sinh^2(s-t) >= 0, by
       cosh 2x = 1 + 2 sinh^2 x.  So 1 - P(-t) <= 1 - P(t), and the
-      half-interval [-t_max, 0] holds the global optimum; one lockstep
-      golden-section search over every row minimizes 1 - P there (a row
-      with t_max = 0 starts closed, at t = 0).  That 1 - P has a single
-      local minimum there is observed, not proven; the tests check the
-      result against a dense full-interval grid.
+      half-interval [-t_max, 0] holds the global optimum: t = -s, where
+      a = 0 and P = 1, at M = 2.  For M >= 3 it maximizes B/A, a = 2k A/M,
+      b = 4k B/M^2.  With S = sinh 2s and T = (M-1) sinh 2t, S ds/dt = -T,
+      S d ln(B/A)/dt / 2 = (-T - S) coth(s-t) + tanh 2(s+t) (S - T)
+      - [sinh 2(s+t) (S - T) + (M-2) sinh 4t S] / A is S (tanh 2s -
+      2 coth s) < 0 at t = 0 and positive as t -> -t_max, so one lockstep
+      bisection finds a root for every row (t_max = 0 keeps t = 0).  That
+      it is unique is observed, not proven; the tests check the result
+      against a dense full-interval grid.
 
     Raises InfeasibleError if a row's budget is below its thermal floor,
     and NumericalError if its Fisher information would overflow (see
@@ -96,12 +109,15 @@ def optimize_batch(
 
     t_star = np.zeros(len(rows))
     iterations = np.zeros(len(rows), dtype=int)
+    pair = (objective == "privacy") & (m == 2.0) & (t_max > 0.0)
+    t_star[pair] = -np.arcsinh(np.sqrt(n_eff[pair] / 2.0))
     if objective == "privacy":
-        t_star, _, _, iterations = kernels.golden_max(
-            lambda t: -_chart_values(m, nu, n_eff, t)[4],
-            -t_max, np.zeros_like(t_max), BRACKET_TOL,
+        search = (m > 2.0) & (t_max > 0.0)
+        t_star[search], iterations[search] = kernels.bisect_max(
+            partial(_privacy_slope, m[search], n_eff[search]), -t_max[search], 0.0
         )
-    s_star, a, b, xi, omp = _chart_values(m, nu, n_eff, t_star)
+    s_star = np.where(pair, -t_star, solve_s(t_star, m, n_eff))  # s + t = 0 at M = 2
+    _, a, b, xi, omp = _chart_values(m, nu, n_eff, t_star, s_star)
     tiny = np.finfo(float).tiny
     # b = 4k sinh^2(s - t) cosh(2s + 2t) / M^2 is exactly 0 only at s = t
     lost = (a > 0.0) & (a < tiny) | (b < tiny) & (s_star != t_star)

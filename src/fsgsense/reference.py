@@ -91,14 +91,15 @@ def total_photons(blocks: FsgBlocks) -> float:
 def optimal_precision_blocks(M: int, N_tot: float) -> FsgBlocks:
     """Pure blocks of the precision-optimal state at budget N_tot.
 
-    gam_i = [2 N - 2 (-1)^i sqrt(N (N+1))] / M and eps_i = 1 + gam_i;
-    the state is pure and reaches the ultimate precision 8 N (N + 1).
+    gam_i = [2 N - 2 (-1)^i sqrt(N (N+1))] / M, gam2 as -2 sqrt N / [(sqrt N
+    + sqrt(N+1)) M], which does not cancel, and eps_i = 1 + gam_i; the
+    state is pure and reaches the ultimate precision 8 N (N + 1).
     """
     if N_tot < 0.0:
         raise DomainError(f"N_tot must be >= 0, got {N_tot}")
     root = np.sqrt(N_tot * (N_tot + 1.0))
     gam1 = (2.0 * N_tot + 2.0 * root) / M
-    gam2 = (2.0 * N_tot - 2.0 * root) / M
+    gam2 = -2.0 * np.sqrt(N_tot) / ((np.sqrt(N_tot) + np.sqrt(N_tot + 1.0)) * M)
     return FsgBlocks(M=M, eps1=1.0 + gam1, eps2=1.0 + gam2, gam1=gam1, gam2=gam2)
 
 

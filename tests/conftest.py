@@ -6,14 +6,12 @@ shows the verdict for every criterion in one place.
 """
 
 import dataclasses
-import math
 
 import mpmath
 import numpy as np
 import pytest
 
 from fsgsense import kernels
-from fsgsense.errors import NumericalError
 from fsgsense.reference import homodyne_cov, homodyne_cov_derivatives
 
 _CRITERION_LINES: dict[int, str] = {}
@@ -81,8 +79,7 @@ def exact_chart_values(m, nu, s, t):
     """
     with mpmath.workdps(20):
         n_eff = mpmath.sinh(s) ** 2 + (m - 1) * mpmath.sinh(t) ** 2
-        digits = 50 + 2 * (abs(mpmath.log10(n_eff)) + mpmath.log10(m))
-    with mpmath.workdps(int(digits)):
+    with mpmath.workdps(_digits(m, n_eff)):
         m, nu, s, t = (mpmath.mpf(v) for v in (m, nu, s, t))
         x, y = mpmath.exp(2 * s), mpmath.exp(2 * t)
         eps1, gam1 = nu * (x + (m - 1) * y) / m, nu * (x - y) / m
@@ -93,36 +90,57 @@ def exact_chart_values(m, nu, s, t):
         return a, b, m * (a + m * b), 1 - (a / m + b) / (a + b)
 
 
-def scalar_golden_max(f, lo, hi, tol, max_iter=200):
-    """Oracle: one-bracket golden-section maximization, as a plain loop.
-
-    Returns (x, a, b, iterations) like kernels.golden_max does per bracket.
-    """
-    inv = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = f(x1), f(x2)
-    iterations = 0
-    while b - a > tol:
-        if iterations >= max_iter:
-            raise NumericalError(f"stalled at width {b - a:.3e}")
-        if f1 > f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = f(x2)
-        iterations += 1
-    return (x1 if f1 >= f2 else x2), a, b, iterations
+def _digits(m, n_eff):
+    """mpmath working precision for a row of scale (M, N_eff), as in
+    exact_chart_values: 50 + 2 (|log10 N_eff| + log10 M) digits."""
+    with mpmath.workdps(20):
+        return int(50 + 2 * (abs(mpmath.log10(n_eff)) + mpmath.log10(m)))
 
 
-def full_z_scan(f, lo, hi):
+def exact_privacy_root(m, n_eff, t0):
+    """Oracle privacy optimum t* of the pure row (M, N_eff), M >= 3: the
+    root near t0 of S d ln(B/A)/dt on the photon constraint (see
+    optimize_batch's docstring), in mpmath, at _digits(M, N_eff) digits."""
+    with mpmath.workdps(_digits(m, n_eff)):
+        m, n_eff = mpmath.mpf(m), mpmath.mpf(n_eff)
+
+        def slope(t):
+            s = mpmath.asinh(mpmath.sqrt(n_eff - (m - 1) * mpmath.sinh(t) ** 2))
+            big_s, big_t, u = mpmath.sinh(2 * s), (m - 1) * mpmath.sinh(2 * t), 2 * (s + t)
+            a = 2 * mpmath.sinh(s + t) ** 2 + (m - 2) * mpmath.sinh(2 * t) ** 2
+            return (
+                (-big_t - big_s) * mpmath.coth(s - t) + mpmath.tanh(u) * (big_s - big_t)
+                - (mpmath.sinh(u) * (big_s - big_t) + (m - 2) * mpmath.sinh(4 * t) * big_s) / a
+            ) / (big_s - big_t)  # in units of its terms' scale, for findroot's tolerance
+
+        t0 = mpmath.mpf(t0)
+        return mpmath.findroot(slope, (t0 * (1 - 1e-9), t0 * (1 + 1e-9)), solver="anderson")
+
+
+def exact_angle_root(m, s, t, z0):
+    """Oracle homodyne angle z* of the chart (M, s, t): the root near z0 of
+    d xi_hd/dz = -4 [p^2 sech^2(z-2s) tanh(z-2s) + (M-1) q^2 sech^2(z-2t)
+    tanh(z-2t)], p = sinh 2s and q = sinh 2t, in mpmath at 60 digits."""
+    with mpmath.workdps(60):
+        m, s, t = (mpmath.mpf(v) for v in (m, s, t))
+        p, q = mpmath.sinh(2 * s), mpmath.sinh(2 * t)
+
+        def slope(z):
+            u, v = z - 2 * s, z - 2 * t
+            return -4 * (
+                p**2 * mpmath.sech(u) ** 2 * mpmath.tanh(u)
+                + (m - 1) * q**2 * mpmath.sech(v) ** 2 * mpmath.tanh(v)
+            ) / (p**2 + (m - 1) * q**2)  # in units of its terms' scale
+
+        step = 1e-9 * max(1.0, abs(z0))
+        return mpmath.findroot(slope, (mpmath.mpf(z0) - step, mpmath.mpf(z0) + step),
+                               solver="anderson")
+
+
+def full_z_scan(f, slope, lo, hi):
     """Oracle for kernels.z_search: each row's whole grid, from lo_i - Z_PAD
     in steps of Z_STEP to at least hi_i + Z_PAD, in one call of f; the first
-    maximum, refined by kernels.golden_max on one step each side to Z_TOL.
+    maximum, refined by kernels.bisect_max on one step each side.
 
     Returns (z, edge) like kernels.z_search.
     """
@@ -132,7 +150,7 @@ def full_z_scan(f, lo, hi):
     values = f(first + step * index)
     values[index >= steps] = -np.inf  # past the row's own grid
     z0 = first + step * np.argmax(values, axis=0)
-    z = kernels.golden_max(f, z0 - step, z0 + step, kernels.Z_TOL)[0]
+    z = kernels.bisect_max(slope, z0 - step, z0 + step)[0]
     edge = (z - first < step) | (first + step * (steps - 1) - z < step)
     return z, edge
 

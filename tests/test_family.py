@@ -196,14 +196,23 @@ def test_budget_t_max_zero_at_the_floor():
     assert budget(4, 5.0, 20.0)[2] == pytest.approx(0.0, abs=1e-7)
 
 
-@pytest.mark.parametrize("m", [2, 3, 6])
-@pytest.mark.parametrize("n_tot", [0.5, 1.0, 10.0])
+@pytest.mark.parametrize("m", [2, 3, 5, 6, 100])
+@pytest.mark.parametrize("n_tot", [0.5, 1.0, 10.0, 1e4, 1e6, 1e8])
 def test_optimal_precision_blocks_are_pure_with_right_budget(m, n_tot):
+    # gam2 = (2N - 2 sqrt(N (N+1)))/M cancelled: FsgBlocks rejected the
+    # state from N = 1e4 ("below vacuum") and at 1e8 ("factors must be
+    # positive"); the blocks must carry xi = 8N(N+1) of the pure formula
+    # F11 = (eps1^2 + eps2^2)/2 - 1, F12 = (gam1^2 + gam2^2)/2
     blocks = optimal_precision_blocks(m, n_tot)
     assert total_photons(blocks) == pytest.approx(n_tot, rel=1e-12)
-    params = params_from_blocks(blocks)
-    assert params.n_th == pytest.approx(0.0, abs=1e-9)
-    assert params.t == pytest.approx(0.0, abs=1e-9)
+    e1, e2, g1, g2 = blocks.eps1, blocks.eps2, blocks.gam1, blocks.gam2
+    f12 = 0.5 * (g1 * g1 + g2 * g2)
+    xi = m * (0.5 * (e1 * e1 + e2 * e2) - 1.0 - f12 + m * f12)
+    assert xi == pytest.approx(8.0 * n_tot * (n_tot + 1.0), rel=3e-10)
+    if n_tot < 1e8:  # at 1e8 eps2 + (M-1) gam2 rounds past the isothermal check
+        params = params_from_blocks(blocks)
+        assert params.n_th == pytest.approx(0.0, abs=1e-9)
+        assert params.t == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("n_tot", [0.5, 1.0, 10.0, 100.0])

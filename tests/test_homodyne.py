@@ -1,13 +1,13 @@
 import mpmath
 import numpy as np
 import pytest
-from conftest import dense_homodyne_fim, dense_sufficient_stats
+from conftest import dense_homodyne_fim, dense_sufficient_stats, exact_angle_root
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsgsense import homodyne
 from fsgsense.errors import DomainError, NumericalError
-from fsgsense.family import FsgParams, budget
+from fsgsense.family import FsgParams, budget, solve_s
 from fsgsense import kernels
 from fsgsense.homodyne import (
     McConfig,
@@ -209,8 +209,9 @@ def _leakage(rows, objective):
 def test_homodyne_leakage_at_the_precision_optimum():
     # at t = 0, r_t = 0, so xi_hd peaks at z* = 2s, where 1 - P_hd =
     # (M-1) sech 2s / ((M-1) sech 2s + 2) = (M-1) / (M + 1 + 4 N_eff): half
-    # the QFIM's (M-1) / (M + 1 + 2 N_eff) as N_eff grows.  z* is found to
-    # about sqrt(eps) on the flat maximum, which moves sech z* by as much
+    # the QFIM's (M-1) / (M + 1 + 2 N_eff) as N_eff grows.  z* is the root
+    # of d xi_hd/dz to the ulp (a value search found it only to about
+    # sqrt(eps), and the bound was 1e-7)
     rows = [
         (m, n_th, m * n_th + (1.0 + 2.0 * n_th) * n_eff)
         for m in (2, 3, 10, 1000, 10**6)
@@ -220,7 +221,7 @@ def test_homodyne_leakage_at_the_precision_optimum():
     hd, qfim = _leakage(rows, "precision")
     m = np.array([row[0] for row in rows], dtype=float)
     n_eff = np.array([budget(*row)[1] for row in rows])
-    assert hd == pytest.approx((m - 1.0) / (m + 1.0 + 4.0 * n_eff), rel=1e-7)
+    assert hd == pytest.approx((m - 1.0) / (m + 1.0 + 4.0 * n_eff), rel=1e-12)
     assert qfim == pytest.approx((m - 1.0) / (m + 1.0 + 2.0 * n_eff), rel=1e-12)
 
 
@@ -274,6 +275,44 @@ def test_homodyne_leakage_at_the_privacy_optimum_matches_mpmath(m, n_tot):
         exact = float((m - 1) * a / (m * (a + b)))
     got = one_minus_privacy_from_ab(hd.fim.a, hd.fim.b, m)
     assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@given(
+    log_m=st.floats(np.log10(2.0), 12.0),
+    log_n_eff=st.floats(-12.0, 149.0),
+    u=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_optimal_angle_is_the_root_of_its_slope(log_m, log_n_eff, u):
+    # bisection on d xi_hd/dz stops at adjacent doubles; against the root
+    # in mpmath it holds 1e-15 max(1, |z*|) over the typed range, where a
+    # value search held about 1e-8
+    m, n_eff = max(2, round(10.0**log_m)), 10.0**log_n_eff
+    t = u * budget(m, 0.0, n_eff)[2]
+    s = float(solve_s(t, m, n_eff))
+    z = optimize_homodyne_angle(FsgParams(M=m, n_th=0.0, s=s, t=t)).z_star
+    assert abs(z - float(exact_angle_root(m, s, t, z))) <= 1e-15 * max(1.0, abs(z))
+
+
+@given(log_m=st.floats(np.log10(2.0), 149.0), log_n_eff=st.floats(-12.0, 149.0))
+@settings(max_examples=200, deadline=None)
+def test_precision_optimum_angle_is_2s_to_the_ulp(log_m, log_n_eff):
+    # at t = 0, xi_hd = 2 sinh^2 2s sech^2(z - 2s) peaks at z* = 2s exactly
+    m, n_eff = max(2, round(10.0**log_m)), 10.0**log_n_eff
+    s = float(solve_s(0.0, m, n_eff))
+    z = optimize_homodyne_angle(FsgParams(M=m, n_th=0.0, s=s, t=0.0)).z_star
+    assert abs(z - 2.0 * s) <= np.spacing(2.0 * s)
+
+
+def test_two_node_privacy_optimum_takes_the_lower_peak():
+    # at t = -s, xi_hd is even in z: its two peaks tie, and z* <= 0 is
+    # reported; where the peaks merge (small budgets) z* sits at 0
+    optima = optimize_batch([(2, n_th, 2 * n_th + n) for n_th in (0.0, 1.0, 5.0)
+                             for n in np.logspace(-3, 100, 40)], "privacy")
+    for r, hd in zip(optima, optimize_homodyne_angles([r.params for r in optima])):
+        assert hd.z_star <= 0.0 and hd.theta_star <= np.pi / 4
+        mirror = chart_homodyne_coeffs(2, r.params.s, r.params.t, -hd.z_star)[2]
+        assert mirror == hd.xi_hd
 
 
 # ------------------------------------------------------------- Monte Carlo

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from conftest import dense_homodyne_fim, full_z_scan, scalar_golden_max
+from conftest import dense_homodyne_fim, full_z_scan
 from scipy.optimize import minimize_scalar
 
 from fsgsense import kernels
-from fsgsense.errors import NumericalError
 from fsgsense.family import FsgParams, budget, solve_s
 from fsgsense.homodyne import (
     chart_homodyne_coeffs,
@@ -51,7 +50,7 @@ def test_chart_homodyne_coeffs_match_dense_fim():
 
 
 def test_angle_search_matches_a_dense_z_grid():
-    # the z scan plus golden-section against a 20,001-point grid over the
+    # the z scan plus bisection against a 20,001-point grid over the
     # whole half-period of the same closed form, at large |s| and |t|
     rng = np.random.default_rng(13)
     states = [
@@ -74,17 +73,20 @@ def test_angle_search_matches_a_dense_z_grid():
 def test_z_search_work_per_row_does_not_grow_with_the_budget(monkeypatch):
     # the 1e149 row's window spans about 1,400 z steps; batched with an
     # ordinary row it is still read in two 17-point blocks plus the
-    # golden-section steps, and no call sees more than 17 z values per row
+    # bisection's slope steps, and no call sees more than 17 z values per row
     states = [maximize_privacy(3, 0.0, n_tot).params for n_tot in (10.0, 1e149)]
     search = kernels.z_search
     per_call = []
 
-    def spy(f, lo, hi):
-        def counted(z):
-            per_call.append(np.size(z) // 2)  # every call sees both rows
-            return f(z)
+    def spy(f, slope, lo, hi):
+        def counted(g):
+            def call(z):
+                per_call.append(np.size(z) // 2)  # every call sees both rows
+                return g(z)
 
-        return search(counted, lo, hi)
+            return call
+
+        return search(counted(f), counted(slope), lo, hi)
 
     monkeypatch.setattr(kernels, "z_search", spy)
     optimize_homodyne_angles(states)
@@ -94,6 +96,17 @@ def test_z_search_work_per_row_does_not_grow_with_the_budget(monkeypatch):
 
 def _xi_hd(m, s, t):
     return lambda z: chart_homodyne_coeffs(m, s, t, z)[2]
+
+
+def _xi_hd_slope(m, s, t):
+    """d xi_hd/dz over 4, p^2 and q^2 folded into the sech^2 factors."""
+
+    def slope(z):
+        r_s = np.sinh(2.0 * s) * kernels.sech(z - 2.0 * s)
+        r_t = np.sinh(2.0 * t) * kernels.sech(z - 2.0 * t)
+        return -(r_s * r_s * np.tanh(z - 2.0 * s) + (m - 1.0) * r_t * r_t * np.tanh(z - 2.0 * t))
+
+    return slope
 
 
 def test_z_search_matches_the_full_scan_bitwise():
@@ -112,15 +125,17 @@ def test_z_search_matches_the_full_scan_bitwise():
     chart = np.array([(p.params.M, p.params.s, p.params.t) for p in optima]).T
     m, s, t = np.concatenate([chart, random, [[4.0], [0.0], [0.0]]], axis=1)
     lo, hi = 2.0 * np.minimum(s, t), 2.0 * np.maximum(s, t)
-    z, _ = kernels.z_search(_xi_hd(m, s, t), lo, hi)
-    assert np.array_equal(z, full_z_scan(_xi_hd(m, s, t), lo, hi)[0])
+    f, slope = _xi_hd(m, s, t), _xi_hd_slope(m, s, t)
+    z, _ = kernels.z_search(f, slope, lo, hi)
+    assert np.array_equal(z, full_z_scan(f, slope, lo, hi)[0])
     assert np.count_nonzero(_xi_hd(m, s, t)(z) == 0.0) >= 3
     # mle_trials-shaped scans round one centre z*, some maxima beyond an end
     offset = rng.uniform(-2.5, 2.5, 200)
     centre = rng.uniform(-50.0, 50.0, 200)
     objective = lambda z: kernels.sech(z - centre - offset) ** 2
-    edge = kernels.z_search(objective, centre, centre)[1]
-    assert np.array_equal(edge, full_z_scan(objective, centre, centre)[1])
+    slope = lambda z: -np.tanh(z - centre - offset)
+    edge = kernels.z_search(objective, slope, centre, centre)[1]
+    assert np.array_equal(edge, full_z_scan(objective, slope, centre, centre)[1])
     assert 0 < np.count_nonzero(edge) < edge.size
 
 
@@ -182,19 +197,20 @@ def test_mle_trials_matches_dense_likelihood():
 
 
 def _spy_on_z_search(monkeypatch):
-    """Patch kernels.z_search to record each objective it is given and the
-    shape of each 2-D block of z it evaluates; returns both lists."""
+    """Patch kernels.z_search to record each (objective, slope) pair it is
+    given and the shape of each 2-D block of z it evaluates; returns both
+    lists."""
     search, objectives, blocks = kernels.z_search, [], []
 
-    def spy(f, lo, hi):
-        objectives.append(f)
+    def spy(f, slope, lo, hi):
+        objectives.append((f, slope))
 
         def counted(z):
             if np.ndim(z) == 2:
                 blocks.append(np.shape(z))
             return f(z)
 
-        return search(counted, lo, hi)
+        return search(counted, slope, lo, hi)
 
     monkeypatch.setattr(kernels, "z_search", spy)
     return objectives, blocks
@@ -216,7 +232,9 @@ def test_mle_trials_likelihood_matches_50_digits(monkeypatch, m):
     # of the search, z* +- (Z_PAD + Z_STEP), where q falls to e^-4.5: charts
     # up to N_eff = 1e150 (|2x| near 347), z* on each peak and between them.
     # log1p amplifies the rounding of z* - 2x (half an ulp, below 2.9e-14
-    # while |z* - 2x| < 512) by |q - 1| / q < 90 on the far side
+    # while |z* - 2x| < 512) by |q - 1| / q < 90 on the far side.  The
+    # slope the bisection reads is d/dz over cosh z* sech^2 z, against
+    # d ln q / dz = tanh(z - 2x) - tanh z, within 1e-11 of its terms' scale
     mpmath = pytest.importorskip("mpmath")
     mpf = mpmath.mpf
     objectives, _ = _spy_on_z_search(monkeypatch)
@@ -227,13 +245,14 @@ def test_mle_trials_likelihood_matches_50_digits(monkeypatch, m):
         for z_hd in (2.0 * s, 2.0 * t, s + t):
             kernels.mle_trials(common, rest, m, s, t, z_hd)
             zs = z_hd + np.linspace(-reach, reach, 37)
-            values = objectives.pop()(zs[:, None])
+            f, slope = objectives.pop()
+            values, slopes = f(zs[:, None]), slope(zs[:, None])
 
             def ln_q(z, x):  # ln of lambda_x(z) / lambda_x(z*)
                 lam = lambda u: mpmath.cosh(u - 2 * mpf(x)) / mpmath.cosh(u)
                 return mpmath.log(lam(mpf(z)) / lam(mpf(z_hd)))
 
-            for z, row in zip(zs, values):
+            for z, row, slope_row in zip(zs, values, slopes):
                 with mpmath.workdps(50):
                     weights = (1 / mpf(m), 1 - 1 / mpf(m))
                     logs = (ln_q(z, s), ln_q(z, t))
@@ -241,8 +260,19 @@ def test_mle_trials_likelihood_matches_50_digits(monkeypatch, m):
                         w * (lq + rho * mpmath.expm1(-lq))
                         for w, lq, rho in zip(weights, logs, moments)
                     )) for moments in zip(common, rest)]
+                    unit = mpmath.cosh(mpf(z_hd)) / mpmath.cosh(mpf(z)) ** 2
+                    rates = [(mpmath.tanh(mpf(z) - 2 * mpf(x)) - mpmath.tanh(mpf(z))) / unit
+                             for x in (s, t)]
+                    slope_refs = [[
+                        (w * d * (rho / mpmath.exp(lq) - 1),
+                         w * abs(d) * (1 + rho / mpmath.exp(lq)))
+                        for w, d, lq, rho in zip(weights, rates, logs, moments)
+                    ] for moments in zip(common, rest)]
                 for value, ref in zip(row, refs):
                     assert abs(value - ref) <= 3e-12 * max(1.0, abs(ref))
+                for value, terms in zip(slope_row, slope_refs):
+                    ref, scale = (float(sum(column)) for column in zip(*terms))
+                    assert abs(value - ref) <= 1e-11 * scale
 
 
 def test_chart_fisher_coeffs_match_the_block_form_qfim():
@@ -260,33 +290,28 @@ def test_chart_fisher_coeffs_match_the_block_form_qfim():
         assert b[i] == pytest.approx(fim.f12, rel=1e-9)
 
 
-def test_golden_max_matches_the_scalar_loop():
-    # brackets of different widths finish after different step counts, one
-    # starts converged, and the last objective is NaN left of 0.65; each
-    # bracket must end exactly where the one-bracket loop ends
-    centers = np.array([0.3, -1.2, 2.0, 0.0, 5.0, 0.7])
+def test_bisect_max_halves_each_row_alone_to_adjacent_doubles():
+    # brackets of different widths finish after different halving counts,
+    # one starts converged (adjacent doubles), and the last slope is NaN
+    # left of 0.65, which counts as positive; each row must end within an
+    # ulp of its root, exactly where it ends alone, and the slope must see
+    # one point per row at every call
+    centres = np.array([0.3, -1.2, 2.0, 1.0, 5.0, 0.7])
     cuts = np.array([-np.inf] * 5 + [0.65])
-    lo = np.array([0.2995, -1.5, 0.5, -5e-12, 4.9, 0.0])
-    hi = np.array([0.3004, -0.9, 2.6, 5e-12, 5.3, 1.0])
+    lo = np.array([0.2995, -1.5, 0.5, 1.0, 4.9, 0.0])
+    hi = np.array([0.3004, -0.9, 2.6, np.nextafter(1.0, 2.0), 1e3, 1.0])
+    shapes = []
 
-    def objective(x, c, cut):
-        return np.where(x < cut, np.nan, -(x - c) * (x - c))
+    def slope(x, c=centres, cut=cuts):
+        shapes.append(np.shape(x))
+        return np.where(x < cut, np.nan, c - x)  # of -(x - c)^2 / 2
 
-    x, a, b, its = kernels.golden_max(
-        lambda x: objective(x, centers, cuts), lo, hi, 1e-10
-    )
-    assert its[3] == 0 and its.max() > its[0] > 0
-    for k in range(centers.size):
-        ref = scalar_golden_max(
-            lambda t: float(objective(t, centers[k], cuts[k])),
-            float(lo[k]), float(hi[k]), 1e-10,
+    x, halvings = kernels.bisect_max(slope, lo, hi)
+    assert set(shapes) == {(6,)} and len(shapes) == halvings.max()
+    assert halvings[3] == 0 and halvings.max() > halvings[0] > 0
+    assert np.all(np.abs(x - centres) <= np.abs(np.spacing(centres)))
+    for k in range(centres.size):
+        alone = kernels.bisect_max(
+            lambda t: slope(t, centres[k], cuts[k]), lo[k : k + 1], hi[k : k + 1]
         )
-        assert (x[k], a[k], b[k], its[k]) == ref
-    assert x[5] == pytest.approx(0.7, abs=1e-9)
-
-
-def test_golden_max_gives_up_after_the_step_limit():
-    with pytest.raises(NumericalError, match="golden-section refinement stalled"):
-        kernels.golden_max(
-            lambda x: -x * x, np.array([-1.0]), np.array([1.0]), -1.0
-        )
+        assert (alone[0][0], alone[1][0]) == (x[k], halvings[k])

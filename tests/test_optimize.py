@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import exact_chart_values, same_fields
+from conftest import exact_chart_values, exact_privacy_root, same_fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -205,15 +205,23 @@ def test_one_minus_privacy_matches_fifty_digits(m, n_tot):
 
 def _assert_matches_oracle(m, nu, s, t, values):
     """values (a, b, xi, 1 - P) of the chart (M, nu, s, t) within 1e-13
-    relative of the mpmath oracle; a and b must be normal numbers.  The
+    relative of the mpmath oracle; a and b must be normal numbers, but for
+    the two-node privacy optimum, s + t = 0 at M = 2, where a = 0 and
+    1 - P = 0 exactly (the oracle's a is its own rounding there).  The
     rounding of s + t and s - t (below 350 in size) moves sinh^2 and cosh
     by at most about 7e-14 relative.  Near perfect privacy 1 - P can itself
     be subnormal, where rounding is absolute: one subnormal step is allowed
     on top."""
     finfo = np.finfo(float)
-    assert values[0] >= finfo.tiny and values[1] >= finfo.tiny
-    for got, exact in zip(values, exact_chart_values(m, nu, s, t), strict=True):
-        assert abs(got - exact) <= 1e-13 * exact + finfo.smallest_subnormal
+    exact = exact_chart_values(m, nu, s, t)
+    if m == 2 and s + t == 0.0:
+        assert values[0] == values[3] == 0.0
+        values, exact = values[1:3], exact[1:3]
+    else:
+        assert values[0] >= finfo.tiny
+    assert values[1] >= finfo.tiny
+    for got, want in zip(values, exact, strict=True):
+        assert abs(got - want) <= 1e-13 * want + finfo.smallest_subnormal
 
 
 @given(
@@ -261,9 +269,10 @@ def test_batch_rows_do_not_depend_on_their_neighbours():
         batch = optimize_batch(rows, objective)
         singles = [optimize_batch([row], objective)[0] for row in rows]
         assert all(same_fields(x, y) for x, y in zip(batch, singles, strict=True))
-        # precision never searches; privacy searches every row but 2 and 4,
-        # which sit at the thermal floor, where t_max = 0
-        searched = [objective == "privacy" and t_max > 0 for t_max in (1, 1, 0, 1, 0)]
+        # precision never searches; privacy searches rows 1 and 3: row 0
+        # has M = 2, where t = -s, and rows 2 and 4 sit at the thermal
+        # floor, where t_max = 0
+        searched = [objective == "privacy" and r in (1, 3) for r in range(5)]
         assert [r.iterations > 0 for r in batch] == searched
     with pytest.raises(InfeasibleError):
         optimize_batch(rows + [(4, 5.0, 10.0)], "privacy")
@@ -274,23 +283,27 @@ def test_batch_rows_do_not_depend_on_their_neighbours():
 
 def test_privacy_search_sees_every_row_of_the_batch(monkeypatch):
     # rows of different t_max, two without any (N = 0 and a row at the
-    # thermal floor): every call of the objective gets one point per row,
-    # and the rows without room start closed and keep t = 0
+    # thermal floor) and one at M = 2: every call of the slope gets one
+    # point per searched row, the M >= 3 rows with room, in one search; the
+    # rows without room keep t = 0, and the M = 2 row takes t = -s
     rows = [(3, 0.0, 10.0), (2, 0.0, 1e6), (4, 0.0, 0.0), (3, 1.0, 3.0), (1000, 0.5, 1e4)]
-    golden = kernels.golden_max
-    shapes = []
+    bisect = kernels.bisect_max
+    shapes, searches = [], []
 
-    def spy(f, lo, hi, tol):
+    def spy(slope, lo, hi):
         def counted(x):
             shapes.append(np.shape(x))
-            return f(x)
+            return slope(x)
 
-        return golden(counted, lo, hi, tol)
+        searches.append(np.shape(lo))
+        return bisect(counted, lo, hi)
 
-    monkeypatch.setattr(kernels, "golden_max", spy)
+    monkeypatch.setattr(kernels, "bisect_max", spy)
     results = optimize_batch(rows, "privacy")
-    assert len(shapes) > 2 and set(shapes) == {(len(rows),)}
+    assert searches == [(2,)] and len(shapes) > 50 and set(shapes) == {(2,)}
     assert [(r.params.t, r.iterations) for r in results[2:4]] == [(0.0, 0)] * 2
+    assert results[1].params.t == -results[1].params.s and results[1].iterations == 0
+    assert min(results[i].iterations for i in (0, 4)) > 50
 
 
 def test_subnormal_fisher_information_raises():
@@ -313,28 +326,29 @@ def test_fisher_information_underflowing_to_zero_raises():
                 optimize_batch([(3, 0.0, 10.0), row], objective)
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="known defect (CHANGES.md FOUND): at M = 2 the privacy optimum's 1 - P "
-    "is subnormal at large budgets (6.84e-313 at 1e145, 3.07e-320 at 1e149) and "
-    "keeps only absolute accuracy; ROADMAP item 2 takes the M = 2 optimum "
-    "analytically, at t = -s",
-)
 def test_two_node_privacy_optimum_is_never_subnormal():
-    # the README says 1 - P keeps its relative accuracy as P -> 1
-    for n_tot in (1e145, 1e149):
-        omp = maximize_privacy(2, 0.0, n_tot).one_minus_privacy
-        assert omp == 0.0 or omp >= np.finfo(float).tiny, (n_tot, omp)
+    # the README says 1 - P keeps its relative accuracy as P -> 1; a search
+    # ended 1 ulp from t = -s and read 6.84e-313 at 1e145, 3.07e-320 at
+    # 1e149.  t = -s exactly, so a = 0: 1 - P = 0 and P = 1 on every row
+    rows = [(2, n_th, 2 * n_th + n) for n_th in (0.0, 0.5, 5.0) for n in np.logspace(-12, 149, 60)]
+    rows += [(2, 0.0, 1e145), (2, 0.0, 1e149)]
+    for result in optimize_batch(rows, "privacy"):
+        assert result.params.s == -result.params.t > 0.0
+        assert result.fim.a == 0.0 and result.one_minus_privacy == 0.0
+        assert result.privacy == 1.0
 
 
 def test_ratio_to_best_xi_never_exceeds_one():
-    # at N_eff ~ 1e149 the two closed-form evaluations of xi round in the
-    # privacy optimum's favour (the ratio read 1.0000000000000286); the
-    # t = 0 state is the precision optimum, so no state beats it
-    for result in optimize_batch([(3, 0.0, 1e149), (2, 0.0, 1e3), (5, 1.0, 50.0)], "privacy"):
+    # at large N_eff the two closed-form evaluations of xi can round in the
+    # privacy optimum's favour (the ratio read 1.0000000000000286 at 1e149);
+    # the t = 0 state is the precision optimum, so no state beats it.  At
+    # 1e46 the raw ratio still rounds above 1 (1.0000000000000144)
+    rows = [(3, 0.0, 1e149), (3, 0.0, 1e46), (2, 0.0, 1e3), (5, 1.0, 50.0)]
+    for result in optimize_batch(rows, "privacy"):
         assert 0.0 < result.ratio_to_best_xi <= 1.0
-    assert maximize_privacy(3, 0.0, 1e149).ratio_to_best_xi == 1.0
+    result = maximize_privacy(3, 0.0, 1e46)
+    assert result.xi / _chart_values(3.0, 1.0, 1e46, 0.0)[3] > 1.0
+    assert result.ratio_to_best_xi == 1.0
 
 
 def test_precision_is_the_t0_state_without_search():
@@ -405,9 +419,9 @@ def test_privacy_optimum_follows_its_asymptotic_law(m):
         omp, t, loss = _privacy_optimum_law(m, n_eff)
         x = m / n_eff
         # the next terms are (M/N_eff)^{2/3} relative in 1 - P* and t* and
-        # (M/N_eff)^{1/3} in 1 - r; the golden search sets a floor on t*
+        # (M/N_eff)^{1/3} in 1 - r
         assert abs(result.one_minus_privacy / omp - 1.0) < x ** (2 / 3)
-        assert abs(result.params.t - t) < 0.5 * x ** (2 / 3) + 1e-7
+        assert abs(result.params.t - t) < 0.5 * x ** (2 / 3) + 1e-12
         assert abs((1.0 - result.ratio_to_best_xi) / loss - 1.0) < 2.0 * x ** (1 / 3)
 
 
@@ -418,11 +432,37 @@ def test_privacy_optimum_follows_its_asymptotic_law(m):
 )
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_thermal_privacy_optimum_is_the_pure_one_at_n_eff(m, n_th, excess):
-    # F(M, n_th, N; t) = k(nu) F(M, 0, N_eff; t) and k cancels in 1 - P.
-    # Where 1 - P is flat the golden search finds t* to about sqrt(eps)
-    # (at most 6.2e-8 apart over 20,000 random rows)
+    # F(M, n_th, N; t) = k(nu) F(M, 0, N_eff; t) and k cancels in 1 - P,
+    # and in the slope the search follows (a value search found t* only to
+    # about sqrt(eps): 6.2e-8 apart over 20,000 random rows)
     n_tot = m * n_th + excess
     n_eff = float(budget(m, n_th, n_tot)[1])
     thermal, pure = optimize_batch([(m, n_th, n_tot), (m, 0.0, n_eff)], "privacy")
-    assert abs(thermal.params.t - pure.params.t) <= 1e-7
+    assert abs(thermal.params.t - pure.params.t) <= 1e-12
     assert thermal.one_minus_privacy == pytest.approx(pure.one_minus_privacy, rel=1e-13)
+
+
+@given(
+    log_m=st.floats(math.log10(3.0), 12.0),
+    log_n_eff=st.floats(-12.0, 149.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_privacy_optimum_is_the_root_of_its_slope(log_m, log_n_eff):
+    # bisection on the closed-form slope stops at adjacent doubles; against
+    # the root in mpmath it holds 1e-14 relative over the typed range,
+    # where a value search held about 1e-8
+    m, n_eff = max(3, round(10.0**log_m)), 10.0**log_n_eff
+    t = maximize_privacy(m, 0.0, n_eff).params.t
+    exact = exact_privacy_root(m, n_eff, t)
+    assert float(abs((t - exact) / exact)) <= 1e-14
+
+
+def test_privacy_optimum_at_many_more_nodes_than_photons():
+    # a value search stopped at an absolute bracket of 1e-10, wider than
+    # t* itself: it reported t* = -4.61e-11 and xi = 846.30 (r = 0.9617)
+    result = maximize_privacy(10**20, 0, 10)
+    exact = exact_privacy_root(10**20, 10.0, result.params.t)
+    assert float(abs((result.params.t - exact) / exact)) <= 1e-14
+    assert result.params.t == pytest.approx(-3.7215797838e-20, rel=1e-10)
+    assert result.xi == pytest.approx(880.0, rel=1e-12)
+    assert result.ratio_to_best_xi == 1.0
